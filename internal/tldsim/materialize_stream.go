@@ -113,6 +113,11 @@ type tldLister interface{ TLDs() []string }
 // key-generation cost — the dominant cost of materialization — scales with
 // the chunk size instead of the day's population.
 //
+// Materialization is taken off the sweep's blocking path by prefetching:
+// once Prepare has installed a span, it starts building the span most
+// likely asked for next in the background, and the next Prepare serves
+// that build if (and only if) it asks for exactly that span.
+//
 // The TLD server table is computed once up front (server names are a pure
 // function of the TLD), so scanner configuration is chunk-independent.
 type StreamMaterializer struct {
@@ -123,12 +128,28 @@ type StreamMaterializer struct {
 	TLDServers map[string]string
 
 	cur atomic.Pointer[dnsserver.MemNet]
-	buf []DomainState
+
+	// next is the speculative build in flight (nil when none); maxSpan is
+	// the largest span prepared so far, the guessed size of the next one.
+	next    *prefetch
+	maxSpan int
+}
+
+// prefetch is one background materialization of the span [lo, hi). Once
+// done is closed, net holds the built network, or nil if the build failed
+// or was cancelled.
+type prefetch struct {
+	lo, hi int
+	cancel context.CancelFunc
+	done   chan struct{}
+	net    *dnsserver.MemNet
 }
 
 // NewStreamMaterializer builds a chunked materializer for one day over the
 // cursor. The TLD table is derived from the cursor's TLDs() fast path when
-// available, else from one cheap name/TLD pass over the cursor.
+// available, else from one cheap name/TLD pass over the cursor. The cursor
+// is read from a background goroutine while the caller scans, so it must
+// be safe for concurrent reads (worlds and their sample views are).
 func NewStreamMaterializer(day simtime.Day, src DomainSource) *StreamMaterializer {
 	m := &StreamMaterializer{day: day, src: src, TLDServers: make(map[string]string)}
 	if tl, ok := src.(tldLister); ok {
@@ -151,18 +172,71 @@ func (m *StreamMaterializer) Day() simtime.Day { return m.day }
 
 // Prepare materializes the cursor span [lo, hi): real signed zones for
 // just those domains, served on a fresh in-memory network that replaces
-// the previous chunk's. It is the scan.ChunkPrepare for this cursor.
+// the previous chunk's. It is the scan.ChunkPrepare for this cursor, and
+// like every ChunkPrepare it is called from one goroutine at a time.
+//
+// If the speculative build started by the previous call covers exactly
+// [lo, hi), Prepare waits for it and installs it; any other span drops
+// that build and materializes synchronously. Either way it then starts a
+// speculative build of [hi, min(hi+largest span seen, Len)), the span a
+// driver walking the cursor in equal chunks asks for next. The build
+// stops early when ctx is cancelled.
 func (m *StreamMaterializer) Prepare(ctx context.Context, lo, hi int) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	m.buf = CollectDomains(m.src, lo, hi, m.buf)
-	mat, err := Materialize(m.day, m.buf)
-	if err != nil {
-		return fmt.Errorf("tldsim: materializing chunk [%d,%d): %w", lo, hi, err)
+	net := m.takePrefetch(ctx, lo, hi)
+	if net == nil {
+		mat, err := materialize(ctx, m.day, CollectDomains(m.src, lo, hi, nil))
+		if err != nil {
+			return fmt.Errorf("tldsim: materializing chunk [%d,%d): %w", lo, hi, err)
+		}
+		net = mat.Net
 	}
-	m.cur.Store(mat.Net)
+	m.cur.Store(net)
+	m.maxSpan = max(m.maxSpan, hi-lo)
+	if next := min(hi+m.maxSpan, m.src.Len()); next > hi {
+		m.startPrefetch(ctx, hi, next)
+	}
 	return nil
+}
+
+// takePrefetch returns the network of the speculative build if it covers
+// exactly [lo, hi) and succeeded, and nil otherwise. A build for another
+// span is cancelled and discarded; either way none is left in flight.
+func (m *StreamMaterializer) takePrefetch(ctx context.Context, lo, hi int) *dnsserver.MemNet {
+	p := m.next
+	if p == nil {
+		return nil
+	}
+	m.next = nil
+	if p.lo != lo || p.hi != hi {
+		p.cancel()
+		return nil
+	}
+	select {
+	case <-p.done:
+	case <-ctx.Done():
+		p.cancel()
+		return nil
+	}
+	// A failed build leaves net nil: the synchronous build then reports
+	// the error with its span.
+	return p.net
+}
+
+// startPrefetch begins the speculative build of [lo, hi).
+func (m *StreamMaterializer) startPrefetch(ctx context.Context, lo, hi int) {
+	ctx, cancel := context.WithCancel(ctx)
+	p := &prefetch{lo: lo, hi: hi, cancel: cancel, done: make(chan struct{})}
+	m.next = p
+	go func() {
+		defer cancel()
+		defer close(p.done)
+		if mat, err := materialize(ctx, m.day, CollectDomains(m.src, lo, hi, nil)); err == nil {
+			p.net = mat.Net
+		}
+	}()
 }
 
 // Exchange routes a query to the currently-prepared chunk's network. It is

@@ -303,12 +303,20 @@ func (z *Zone) SOA() *dnswire.RR {
 // responses that embed apex-owned records (the SOA in negative answers,
 // apex RRset answers) depend on the serial, so per-mutation serial bumps
 // do not flush the rest of the zone's cached responses.
+//
+// The SOA record is replaced, not edited in place: readers hold the
+// records Lookup returned without the zone's lock, so a record must never
+// change once it is in the zone.
 func (z *Zone) BumpSerial() {
 	z.mu.Lock()
 	z.gen.Add(1)
-	for _, rr := range z.sets[rrKey{z.Origin, dnswire.TypeSOA}] {
+	set := z.sets[rrKey{z.Origin, dnswire.TypeSOA}]
+	for i, rr := range set {
 		if soa, ok := rr.Data.(*dnswire.SOA); ok {
-			soa.Serial++
+			bumped, data := *rr, *soa
+			data.Serial++
+			bumped.Data = &data
+			set[i] = &bumped
 		}
 	}
 	ev := z.eventLocked(z.Origin, dnswire.TypeSOA, false)

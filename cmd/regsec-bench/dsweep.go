@@ -86,11 +86,11 @@ func runDsweepBench(cfg dsweepBenchConfig) int {
 		workers := make([]dsweep.WorkerSpec, n)
 		for i := range workers {
 			name := fmt.Sprintf("w%d", i+1)
-			setup, err := spec.Build(nil, 0, nil)
+			setup, err := spec.BuildStream(nil, 0, nil)
 			if err != nil {
 				return "", nil, 0, err
 			}
-			workers[i] = dsweep.WorkerSpec{Name: name, Setup: setup, Chaos: chaos[name]}
+			workers[i] = dsweep.WorkerSpec{Name: name, StreamSetup: setup, Chaos: chaos[name]}
 		}
 		start := time.Now()
 		merged, res, err := dsweep.RunLocal(context.Background(), dsweep.LocalConfig{

@@ -42,11 +42,12 @@
 // otherwise).
 //
 // The sweepscale section (enabled with -sweepscale-o) runs the same sweep
-// through the whole-day and streaming pipelines at each
-// -sweepscale-divisors population, recording wall-clock and peak heap
-// over the world-build baseline for both. It gates on the archives
-// staying byte-identical at every divisor and on the streaming peak
-// staying under half the whole-day peak at the largest population (exit 1
+// through ResumableSweep.RunStream with one chunk per shard and with
+// -sweepscale-chunk targets per chunk at each -sweepscale-divisors
+// population, recording wall-clock and peak heap over the world-build
+// baseline for both. It gates on the archives staying byte-identical at
+// every divisor and on the chunked peak staying under half the committed
+// whole-day peak at every divisor with a committed baseline (exit 1
 // otherwise).
 //
 // The api section (enabled with -api-o) runs the observatory daemon

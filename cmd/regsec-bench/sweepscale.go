@@ -1,15 +1,16 @@
 package main
 
-// The sweep-scale section: how the two sweep pipelines behave as the
-// per-day target count approaches full-.com size. For each population
-// divisor it runs the identical sweep twice — once on the legacy
-// whole-day path (every record of every day resident until the final
-// archive write) and once on the streaming path (chunked scan, spill to
-// disk past the memory budget, k-way merge on write) — while a sampler
-// goroutine tracks the peak live heap over the world-build baseline. The
-// two archives must match byte for byte, and at the largest population
-// the streaming peak must stay under half the whole-day peak: that bound
-// is the point of the streaming pipeline, so the benchmark gates on it.
+// The sweep-scale section: how the sweep behaves as the per-day target
+// count approaches full-.com size. For each population divisor it runs
+// the identical sweep twice through ResumableSweep.RunStream — once with one
+// chunk per shard (Chunk 0: the whole day's DNS materialized at once) and
+// once chunked (-sweepscale-chunk targets at a time) — both spilling to
+// disk past the memory budget and writing archive sections by k-way
+// merge, while a sampler goroutine tracks the peak live heap over the
+// world-build baseline. The two archives must match byte for byte, and
+// the chunked peak must stay under an absolute bound: half the peak the
+// retired whole-day pipeline committed in BENCH_sweepscale.json. That
+// bound is the point of chunking, so the benchmark gates on it.
 
 import (
 	"bytes"
@@ -46,14 +47,16 @@ type sweepscaleEntry struct {
 	Days         int     `json:"days"`
 	Chunk        int     `json:"chunk"`
 
+	// Whole* measure the one-chunk-per-shard arm (Chunk 0).
 	WholeWallMs    float64 `json:"whole_wall_ms"`
 	WholePeakBytes uint64  `json:"whole_peak_bytes"`
 
+	// Stream* measure the chunked arm.
 	StreamWallMs    float64 `json:"stream_wall_ms"`
 	StreamPeakBytes uint64  `json:"stream_peak_bytes"`
 
-	// PeakRatio is streaming/whole-day peak heap over the shared world
-	// baseline; below 1 means streaming was cheaper.
+	// PeakRatio is chunked/one-chunk-per-shard peak heap over the shared
+	// world baseline; below 1 means chunking was cheaper.
 	PeakRatio     float64 `json:"peak_ratio"`
 	ByteIdentical bool    `json:"byte_identical"`
 }
@@ -66,12 +69,24 @@ type sweepscaleBaseline struct {
 	Entries        []sweepscaleEntry `json:"entries"`
 }
 
-const sweepscaleBaselineSchema = "regsec-bench-sweepscale/1"
+// Schema 2: both arms run ResumableSweep.RunStream; in schema 1 the Whole*
+// fields measured the retired whole-day pipeline.
+const sweepscaleBaselineSchema = "regsec-bench-sweepscale/2"
 
-// sweepscaleMaxPeakRatio is the gate at the largest population measured:
-// the streaming pipeline's peak heap must stay under this fraction of the
-// whole-day pipeline's.
-const sweepscaleMaxPeakRatio = 0.5
+// sweepscalePeakBound is the gate on the chunked arm's peak heap, per
+// divisor: half the whole-day pipeline's peak as committed in
+// BENCH_sweepscale.json (seed 1, 120,000 targets × 2 days, GOMAXPROCS 1).
+// It applies at the committed sample size; other divisors and sample
+// sizes have no committed baseline and are reported ungated.
+var sweepscalePeakBound = map[float64]uint64{
+	400: 126_022_488,
+	40:  125_405_380,
+	4:   183_917_128,
+}
+
+// sweepscaleBoundSample is the per-day target count the bounds were
+// measured at.
+const sweepscaleBoundSample = 120000
 
 // liveHeap reads the bytes occupied by objects the last GC mark proved
 // live — unlike HeapAlloc it excludes not-yet-collected garbage, so the
@@ -111,9 +126,8 @@ func watchHeap() *heapWatch {
 	return w
 }
 
-// Peak stops the sampler, forces a final mark so end-of-run state (the
-// whole-day path's fully populated store) is counted, and returns the
-// peak live heap over the baseline.
+// Peak stops the sampler, forces a final mark so end-of-run state is
+// counted, and returns the peak live heap over the baseline.
 func (w *heapWatch) Peak(baseline uint64) uint64 {
 	close(w.stop)
 	<-w.done
@@ -153,7 +167,7 @@ func runSweepscaleBench(cfg sweepscaleBenchConfig) int {
 		MemBudgetBytes: cfg.MemBudget,
 	}
 	ok := true
-	for i, div := range cfg.Divisors {
+	for _, div := range cfg.Divisors {
 		spec := &dsweep.WorldSpec{
 			ScaleDiv: div, Seed: cfg.Seed, Sample: cfg.Sample,
 			Workers: runtime.GOMAXPROCS(0), Chunk: cfg.Chunk,
@@ -163,11 +177,11 @@ func runSweepscaleBench(cfg sweepscaleBenchConfig) int {
 		}
 
 		// Build once, save, and mmap-load — the production -world-cache
-		// lifecycle. The loaded world is file-backed, so neither mode
+		// lifecycle. The loaded world is file-backed, so neither arm
 		// carries the population as resident heap and the peak measures the
 		// sweep pipeline alone. (An in-heap world would also slow GC marks
 		// to the point where mark-window churn, counted live by
-		// allocate-black, drowns the streaming pipeline's real footprint.)
+		// allocate-black, drowns the chunked pipeline's real footprint.)
 		worldPath := filepath.Join(tmpDir, fmt.Sprintf("world-%.0f.rscw", div))
 		built, err := tldsim.Build(tldsim.WorldConfig{Scale: 1 / div, Seed: cfg.Seed})
 		if err != nil {
@@ -186,81 +200,29 @@ func runSweepscaleBench(cfg sweepscaleBenchConfig) int {
 			return 1
 		}
 
-		// Whole-day: Setup materializes the day's full target slice and Run
-		// keeps every day's snapshot resident until the archive write.
-		setup, err := spec.BuildWith(world, nil, 0, nil)
+		// The same spec and world through RunStream, first with one
+		// chunk per shard, then chunked.
+		setup, err := spec.BuildStreamWith(world, nil, 0, nil)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			return 1
 		}
 		wholePath := filepath.Join(tmpDir, fmt.Sprintf("whole-%.0f.tsv", div))
-		base := heapBaseline()
-		hw := watchHeap()
-		start := time.Now()
-		rs := &scan.ResumableSweep{Setup: setup, Shards: 1}
-		store, err := rs.Run(context.Background(), days)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 1
-		}
-		f, err := os.Create(wholePath)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 1
-		}
-		if err := store.WriteArchive(f); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 1
-		}
-		if err := f.Close(); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 1
-		}
-		entry.WholeWallMs = ms(start)
-		entry.WholePeakBytes = hw.Peak(base)
-		store = nil
-		setup = nil
-		fmt.Fprintf(os.Stderr, "sweepscale 1/%.0f: whole-day %d targets × %d days in %.0f ms, peak %.1f MB over a %.1f MB baseline\n",
-			div, cfg.Sample, len(days), entry.WholeWallMs, float64(entry.WholePeakBytes)/1e6, float64(base)/1e6)
-
-		// Streaming: same spec and world, chunked cursor scan with
-		// spill-to-disk past the budget, archive sections written by k-way
-		// merge.
-		streamSetup, err := spec.BuildStreamWith(world, nil, 0, nil)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 1
-		}
 		streamPath := filepath.Join(tmpDir, fmt.Sprintf("stream-%.0f.tsv", div))
-		base = heapBaseline()
-		hw = watchHeap()
-		start = time.Now()
-		srs := &scan.ResumableSweep{
-			StreamSetup: streamSetup, Shards: 1, Chunk: cfg.Chunk,
-			Spill: dataset.SpillOptions{Dir: tmpDir, MemBudget: cfg.MemBudget},
-		}
-		aw, err := dataset.NewArchiveWriter(streamPath)
-		if err != nil {
+		spill := dataset.SpillOptions{Dir: tmpDir, MemBudget: cfg.MemBudget}
+		if entry.WholeWallMs, entry.WholePeakBytes, err = sweepscaleArm(setup, 0, spill, days, wholePath); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			return 1
 		}
-		err = srs.RunStream(context.Background(), days, func(day simtime.Day, sw *dataset.SpillWriter) error {
-			return aw.Section(sw)
-		})
-		if err != nil {
-			aw.Abort()
+		fmt.Fprintf(os.Stderr, "sweepscale 1/%.0f: one chunk per shard, %d targets × %d days in %.0f ms, peak %.1f MB\n",
+			div, cfg.Sample, len(days), entry.WholeWallMs, float64(entry.WholePeakBytes)/1e6)
+		if entry.StreamWallMs, entry.StreamPeakBytes, err = sweepscaleArm(setup, cfg.Chunk, spill, days, streamPath); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			return 1
 		}
-		if err := aw.Close(); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 1
-		}
-		entry.StreamWallMs = ms(start)
-		entry.StreamPeakBytes = hw.Peak(base)
-		streamSetup = nil
-		fmt.Fprintf(os.Stderr, "sweepscale 1/%.0f: streaming (chunk %d, budget %.0f MB) in %.0f ms, peak %.1f MB over a %.1f MB baseline\n",
-			div, cfg.Chunk, float64(cfg.MemBudget)/1e6, entry.StreamWallMs, float64(entry.StreamPeakBytes)/1e6, float64(base)/1e6)
+		setup = nil
+		fmt.Fprintf(os.Stderr, "sweepscale 1/%.0f: chunk %d (budget %.0f MB) in %.0f ms, peak %.1f MB\n",
+			div, cfg.Chunk, float64(cfg.MemBudget)/1e6, entry.StreamWallMs, float64(entry.StreamPeakBytes)/1e6)
 
 		whole, err := os.ReadFile(wholePath)
 		if err != nil {
@@ -275,18 +237,20 @@ func runSweepscaleBench(cfg sweepscaleBenchConfig) int {
 		world.Close()
 		entry.ByteIdentical = bytes.Equal(whole, streamed)
 		if !entry.ByteIdentical {
-			fmt.Fprintf(os.Stderr, "sweepscale 1/%.0f: streaming archive DIVERGED from the whole-day archive\n", div)
+			fmt.Fprintf(os.Stderr, "sweepscale 1/%.0f: chunked archive DIVERGED from the one-chunk-per-shard archive\n", div)
 			ok = false
 		}
 		if entry.WholePeakBytes > 0 {
 			entry.PeakRatio = float64(entry.StreamPeakBytes) / float64(entry.WholePeakBytes)
 		}
-		// The gate applies at the largest population (the last divisor):
-		// small populations fit either way, so their ratio is noise.
-		if i == len(cfg.Divisors)-1 && entry.PeakRatio >= sweepscaleMaxPeakRatio {
-			fmt.Fprintf(os.Stderr, "sweepscale 1/%.0f: streaming peak is %.2fx the whole-day peak, want < %.2f\n",
-				div, entry.PeakRatio, sweepscaleMaxPeakRatio)
-			ok = false
+		if bound, gated := sweepscalePeakBound[div]; gated && cfg.Sample == sweepscaleBoundSample {
+			if entry.StreamPeakBytes >= bound {
+				fmt.Fprintf(os.Stderr, "sweepscale 1/%.0f: chunked peak %d B, want < %d B (half the committed whole-day peak)\n",
+					div, entry.StreamPeakBytes, bound)
+				ok = false
+			}
+		} else {
+			fmt.Fprintf(os.Stderr, "sweepscale 1/%.0f: no committed peak bound for %d targets, not gated\n", div, cfg.Sample)
 		}
 		baseline.Entries = append(baseline.Entries, entry)
 	}
@@ -305,4 +269,29 @@ func runSweepscaleBench(cfg sweepscaleBenchConfig) int {
 		return 1
 	}
 	return 0
+}
+
+// sweepscaleArm runs one measured sweep through RunStream into an archive
+// at path, returning its wall time and peak live heap over the settled
+// baseline.
+func sweepscaleArm(setup scan.StreamDaySetup, chunk int, spill dataset.SpillOptions, days []simtime.Day, path string) (float64, uint64, error) {
+	base := heapBaseline()
+	hw := watchHeap()
+	start := time.Now()
+	rs := &scan.ResumableSweep{StreamSetup: setup, Shards: 1, Chunk: chunk, Spill: spill}
+	aw, err := dataset.NewArchiveWriter(path)
+	if err != nil {
+		hw.Peak(base)
+		return 0, 0, err
+	}
+	err = rs.RunStream(context.Background(), days, func(day simtime.Day, sw *dataset.SpillWriter) error {
+		return aw.Section(sw)
+	})
+	if err == nil {
+		err = aw.Close()
+	} else {
+		aw.Abort()
+	}
+	wall := ms(start)
+	return wall, hw.Peak(base), err
 }

@@ -32,23 +32,22 @@
 // configured fraction of DNS operators lossy — a resilience drill for the
 // scan path; each day's sweep-health report goes to stderr.
 //
-// Long sweeps are crash-safe when -checkpoint-dir is set: every completed
-// shard is durably checkpointed, and SIGINT/SIGTERM drains the in-flight
-// shard's workers and flushes the checkpoint before exiting. Re-running
-// with -resume picks up from the last completed shard — finished work is
-// verified by checksum, not re-scanned — and the final archive is
-// byte-identical to an uninterrupted run.
+// Every sweep runs through one streaming pipeline: targets come off a
+// cursor in chunks of -chunk domains (0, the default, is one chunk per
+// shard), each chunk's DNS is materialized (and signed) lazily, and each
+// day's records flow through a spill-to-disk writer bounded by
+// -mem-budget MiB of RAM (run files land in -spill-dir) into the archive
+// in canonical (TLD, domain) order. The archive bytes depend only on the
+// world, sample, days and faults — not on -shards or -chunk; peak memory
+// scales with the chunk, not the day.
 //
-// -chunk switches the sweep to the streaming pipeline for full-.com-scale
-// runs: targets come off a cursor in chunks of that many domains, each
-// chunk's DNS is materialized (and signed) lazily, completed chunks are
-// durably checkpointed, and each day's records flow through a spill-to-disk
-// writer bounded by -mem-budget MiB of RAM (run files land in -spill-dir).
-// The archive bytes are identical to the whole-day pipeline's; peak memory
-// scales with the chunk, not the day. A resumed streaming sweep re-enters
-// the interrupted shard at its first missing chunk; the chunk size is part
-// of the checkpoint fingerprint, so -resume with a different -chunk is
-// refused.
+// Long sweeps are crash-safe when -checkpoint-dir is set: every completed
+// chunk is durably checkpointed, and SIGINT/SIGTERM drains the in-flight
+// chunk's workers and flushes the checkpoint before exiting. Re-running
+// with -resume picks up from the last completed chunk — finished work is
+// verified by checksum, not re-scanned — and the final archive is
+// byte-identical to an uninterrupted run. The chunk size is part of the
+// checkpoint fingerprint, so -resume with a different -chunk is refused.
 package main
 
 import (
@@ -75,41 +74,44 @@ import (
 )
 
 func main() {
-	os.Exit(run())
+	os.Exit(run(os.Args[1:]))
 }
 
-func run() int {
-	scaleDiv := flag.Float64("scale", 2000, "population divisor (2000 → .com has ~59k domains)")
-	seed := flag.Int64("seed", 1, "world seed")
-	daysStr := flag.String("days", "2016-12-31", "comma-separated measurement days (YYYY-MM-DD)")
-	sample := flag.Int("sample", 1000, "domains to materialize and scan")
-	workers := flag.Int("workers", 16, "scan concurrency")
-	outPath := flag.String("o", "", "write a checksummed TSV snapshot archive instead of stdout records")
-	retries := flag.Int("retries", 3, "per-query attempt budget")
-	resweeps := flag.Int("resweeps", 2, "re-sweep passes over failed targets (-1 disables)")
-	faultFrac := flag.Float64("fault-frac", 0, "fraction of DNS operators made faulty (0 disables injection)")
-	faultLoss := flag.Float64("fault-loss", 0.2, "packet-loss probability on faulty operators")
-	faultSeed := flag.Int64("fault-seed", 1, "fault schedule seed")
-	useCache := flag.Bool("cache", false, "enable the TTL-respecting response cache in the exchange stack")
-	useDedup := flag.Bool("dedup", false, "coalesce concurrent identical queries in the exchange stack")
-	worldCache := flag.String("world-cache", "", "directory caching built worlds keyed by (seed, scale, config): build once, load many")
-	cpDir := flag.String("checkpoint-dir", "", "directory for durable sweep checkpoints (enables crash-safe resume)")
-	resume := flag.Bool("resume", false, "continue from an existing checkpoint in -checkpoint-dir")
-	shards := flag.Int("shards", 4, "checkpoint units per day (granularity of resume)")
-	chunk := flag.Int("chunk", 0, "streaming pipeline: targets per materialize+scan+flush chunk (0 = whole-day pipeline)")
-	memBudget := flag.Int("mem-budget", 0, "streaming pipeline: MiB of records buffered per day before spilling sorted runs to disk (default 256)")
-	spillDir := flag.String("spill-dir", "", "streaming pipeline: directory for spill run files (default: system temp dir)")
-	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
-	memProfile := flag.String("memprofile", "", "write a heap profile to this file on exit")
-	workerURL := flag.String("worker", "", "join a distributed sweep as a worker of the coordinator at this URL")
-	workerName := flag.String("name", "", "worker identity (default hostname-pid); unique per sweep")
-	faultProfile := flag.String("fault-profile", "", "vantage-point fault profile file for this worker (worker mode only)")
-	vantageSeed := flag.Int64("vantage-seed", 1, "seed for the vantage-point fault schedule (worker mode only)")
-	flag.Parse()
+func run(args []string) int {
+	fs := flag.NewFlagSet("regsec-scan", flag.ExitOnError)
+	scaleDiv := fs.Float64("scale", 2000, "population divisor (2000 → .com has ~59k domains)")
+	seed := fs.Int64("seed", 1, "world seed")
+	daysStr := fs.String("days", "2016-12-31", "comma-separated measurement days (YYYY-MM-DD)")
+	sample := fs.Int("sample", 1000, "domains to materialize and scan")
+	workers := fs.Int("workers", 16, "scan concurrency")
+	outPath := fs.String("o", "", "write a checksummed TSV snapshot archive instead of stdout records")
+	retries := fs.Int("retries", 3, "per-query attempt budget")
+	resweeps := fs.Int("resweeps", 2, "re-sweep passes over failed targets (-1 disables)")
+	faultFrac := fs.Float64("fault-frac", 0, "fraction of DNS operators made faulty (0 disables injection)")
+	faultLoss := fs.Float64("fault-loss", 0.2, "packet-loss probability on faulty operators")
+	faultSeed := fs.Int64("fault-seed", 1, "fault schedule seed")
+	useCache := fs.Bool("cache", false, "enable the TTL-respecting response cache in the exchange stack")
+	useDedup := fs.Bool("dedup", false, "coalesce concurrent identical queries in the exchange stack")
+	worldCache := fs.String("world-cache", "", "directory caching built worlds keyed by (seed, scale, config): build once, load many")
+	cpDir := fs.String("checkpoint-dir", "", "directory for durable sweep checkpoints (enables crash-safe resume)")
+	resume := fs.Bool("resume", false, "continue from an existing checkpoint in -checkpoint-dir")
+	shards := fs.Int("shards", 4, "checkpoint units per day (granularity of resume)")
+	chunk := fs.Int("chunk", 0, "targets per materialize+scan+flush chunk (0 = one chunk per shard)")
+	memBudget := fs.Int("mem-budget", 0, "MiB of records buffered per day before spilling sorted runs to disk (default 256)")
+	spillDir := fs.String("spill-dir", "", "directory for spill run files (default: system temp dir)")
+	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile to this file")
+	memProfile := fs.String("memprofile", "", "write a heap profile to this file on exit")
+	workerURL := fs.String("worker", "", "join a distributed sweep as a worker of the coordinator at this URL")
+	workerName := fs.String("name", "", "worker identity (default hostname-pid); unique per sweep")
+	faultProfile := fs.String("fault-profile", "", "vantage-point fault profile file for this worker (worker mode only)")
+	vantageSeed := fs.Int64("vantage-seed", 1, "seed for the vantage-point fault schedule (worker mode only)")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
 
 	// Reject contradictory flag combinations before any work starts.
 	set := make(map[string]bool)
-	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
 	if err := validateFlags(set); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return 2
@@ -171,9 +173,9 @@ func run() int {
 	// The fingerprint binds a checkpoint to everything that shapes the
 	// sweep's output, so a stale or mismatched checkpoint is refused
 	// instead of silently mixed into a different configuration. The chunk
-	// size shapes the durable chunk files a streaming resume trusts, so it
-	// joins the fingerprint too: -resume under a different -chunk is
-	// refused instead of fabricating a day out of incompatible pieces.
+	// size shapes the durable chunk files a resume trusts, so a positive
+	// -chunk joins the fingerprint too: -resume under a different -chunk
+	// is refused instead of fabricating a day out of incompatible pieces.
 	fingerprint := fmt.Sprintf("scale=%g seed=%d days=%s sample=%d shards=%d faults=%g/%g/%d retries=%d resweeps=%d",
 		*scaleDiv, *seed, *daysStr, *sample, *shards, *faultFrac, *faultLoss, *faultSeed, *retries, *resweeps)
 	if *chunk > 0 {
@@ -181,7 +183,7 @@ func run() int {
 	}
 
 	// SIGINT/SIGTERM cancel the sweep context: workers drain, the partial
-	// shard is discarded, and the checkpoint is flushed before we exit.
+	// chunk is discarded, and the checkpoint is flushed before we exit.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
@@ -191,6 +193,8 @@ func run() int {
 		Checkpoint:  cp,
 		Fingerprint: fingerprint,
 		Shards:      *shards,
+		Chunk:       *chunk,
+		Spill:       dataset.SpillOptions{Dir: *spillDir, MemBudget: int64(*memBudget) << 20},
 		OnDayHealth: func(day simtime.Day, h *scan.SweepHealth) {
 			fmt.Fprintln(os.Stderr, h)
 		},
@@ -198,72 +202,12 @@ func run() int {
 			fmt.Fprintf(os.Stderr, format+"\n", args...)
 		},
 	}
-
-	if *chunk > 0 {
-		rs.Chunk = *chunk
-		rs.Spill = dataset.SpillOptions{Dir: *spillDir, MemBudget: int64(*memBudget) << 20}
-		rs.StreamSetup = func(ctx context.Context, day simtime.Day) (*scan.Scanner, scan.TargetSource, scan.ChunkPrepare, error) {
-			fmt.Fprintf(os.Stderr, "streaming %d domains at %s in chunks of %d (lazy materialization)...\n", src.Len(), day, *chunk)
-			sm := tldsim.NewStreamMaterializer(day, src)
-			var mw []exchange.Middleware
-			if *faultFrac > 0 {
-				rules, faulty := tldsim.LossyOperatorsSource(src, *faultFrac, *faultLoss, *faultSeed)
-				inj := faultnet.New(nil, *faultSeed, func() simtime.Day { return day }, rules...)
-				mw = append(mw, inj.Middleware())
-				fmt.Fprintf(os.Stderr, "injecting %.0f%% loss on %d operator(s)\n", *faultLoss*100, len(faulty))
-			}
-			var cacheOpts *exchange.CacheOptions
-			if *useCache {
-				cacheOpts = &exchange.CacheOptions{}
-			}
-			scanner, err := scan.New(scan.Config{
-				Exchange:    sm,
-				Middleware:  mw,
-				Dedup:       *useDedup,
-				Cache:       cacheOpts,
-				TLDServers:  sm.TLDServers,
-				Workers:     *workers,
-				Clock:       func() simtime.Day { return day },
-				Retry:       retry.Policy{MaxAttempts: *retries},
-				MaxResweeps: *resweeps,
-			})
-			if err != nil {
-				return nil, nil, nil, err
-			}
-			scanners = append(scanners, scanner)
-			prepare := func(ctx context.Context, lo, hi int) error {
-				// Each chunk's materialization signs with fresh keys, so
-				// answers cached from the previous chunk must not survive
-				// into this one.
-				if *useCache {
-					scanner.Stack().FlushCache()
-				}
-				return sm.Prepare(ctx, lo, hi)
-			}
-			return scanner, src, prepare, nil
-		}
-		total, code := runStreamOut(ctx, rs, days, *outPath, cp, *cpDir)
-		if code != 0 {
-			return code
-		}
-		reportTotals(scanners, total, len(days), start)
-		return 0
-	}
-
-	domains := tldsim.Domains(src)
-	targets := make([]scan.Target, 0, len(domains))
-	for _, d := range domains {
-		targets = append(targets, scan.Target{Domain: d.Name, TLD: d.TLD})
-	}
-	rs.Setup = func(ctx context.Context, day simtime.Day) (*scan.Scanner, []scan.Target, error) {
-		fmt.Fprintf(os.Stderr, "materializing %d domains at %s (real keys, real signatures)...\n", len(domains), day)
-		mat, err := tldsim.Materialize(day, domains)
-		if err != nil {
-			return nil, nil, err
-		}
+	rs.StreamSetup = func(ctx context.Context, day simtime.Day) (*scan.Scanner, scan.TargetSource, scan.ChunkPrepare, error) {
+		fmt.Fprintf(os.Stderr, "streaming %d domains at %s in %d shard(s), chunk %d (0 = one per shard)...\n", src.Len(), day, *shards, *chunk)
+		sm := tldsim.NewStreamMaterializer(day, src)
 		var mw []exchange.Middleware
 		if *faultFrac > 0 {
-			rules, faulty := tldsim.LossyOperators(domains, *faultFrac, *faultLoss, *faultSeed)
+			rules, faulty := tldsim.LossyOperatorsSource(src, *faultFrac, *faultLoss, *faultSeed)
 			inj := faultnet.New(nil, *faultSeed, func() simtime.Day { return day }, rules...)
 			mw = append(mw, inj.Middleware())
 			fmt.Fprintf(os.Stderr, "injecting %.0f%% loss on %d operator(s)\n", *faultLoss*100, len(faulty))
@@ -273,62 +217,40 @@ func run() int {
 			cacheOpts = &exchange.CacheOptions{}
 		}
 		scanner, err := scan.New(scan.Config{
-			Exchange:    mat.Net,
+			Exchange:    sm,
 			Middleware:  mw,
 			Dedup:       *useDedup,
 			Cache:       cacheOpts,
-			TLDServers:  mat.TLDServers,
+			TLDServers:  sm.TLDServers,
 			Workers:     *workers,
 			Clock:       func() simtime.Day { return day },
 			Retry:       retry.Policy{MaxAttempts: *retries},
 			MaxResweeps: *resweeps,
 		})
 		if err != nil {
-			return nil, nil, err
+			return nil, nil, nil, err
 		}
 		scanners = append(scanners, scanner)
-		return scanner, targets, nil
-	}
-	store, err := rs.Run(ctx, days)
-	if err != nil {
-		if errors.Is(err, context.Canceled) && cp != nil {
-			fmt.Fprintf(os.Stderr, "interrupted; checkpoint saved in %s — re-run with -resume to continue\n", *cpDir)
-			return 130
-		}
-		fmt.Fprintln(os.Stderr, err)
-		return 1
-	}
-	if *outPath != "" {
-		if err := store.WriteArchiveFile(*outPath); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 1
-		}
-		fmt.Fprintf(os.Stderr, "wrote %d snapshot(s) to %s\n", store.Len(), *outPath)
-	} else {
-		fmt.Println("#domain\ttld\toperator\tns\tdnskey\trrsig\tds\tvalid\tclass")
-		for _, day := range store.Days() {
-			snap := store.Get(day)
-			for i := range snap.Records {
-				printRecord(&snap.Records[i])
+		prepare := func(ctx context.Context, lo, hi int) error {
+			// Each chunk's materialization signs with fresh keys, so
+			// answers cached from the previous chunk must not survive
+			// into this one.
+			if *useCache {
+				scanner.Stack().FlushCache()
 			}
+			return sm.Prepare(ctx, lo, hi)
 		}
+		return scanner, src, prepare, nil
 	}
-	// The archive is safely on disk; the checkpoint has served its purpose.
-	if cp != nil {
-		if err := cp.Clear(); err != nil {
-			fmt.Fprintf(os.Stderr, "clearing checkpoint: %v\n", err)
-		}
+	total, code := runStreamOut(ctx, rs, days, *outPath, cp, *cpDir)
+	if code != 0 {
+		return code
 	}
-	total := 0
-	for _, day := range store.Days() {
-		total += len(store.Get(day).Records)
-	}
-	reportTotals(scanners, total, store.Len(), start)
+	reportTotals(scanners, total, len(days), start)
 	return 0
 }
 
-// printRecord writes one stdout TSV line in the record format shared by
-// the whole-day and streaming output paths.
+// printRecord writes one stdout TSV line.
 func printRecord(r *dataset.Record) {
 	class := r.Deployment().String()
 	if r.Failed {
@@ -352,7 +274,7 @@ func reportTotals(scanners []*scan.Scanner, total, days int, start time.Time) {
 	fmt.Fprintf(os.Stderr, "exchange stack: %s\n", stackTotals)
 }
 
-// runStreamOut drives the streaming sweep and its output path: day
+// runStreamOut drives the sweep and its output path: day
 // sections flow straight from each day's spill writer into a streamed
 // archive with -o, or through a sorted-record stdout printer without. It
 // returns the record total and the process exit code.
@@ -420,9 +342,9 @@ var planFlags = []string{
 // workerOnlyFlags only have meaning when joining a coordinator.
 var workerOnlyFlags = []string{"name", "fault-profile", "vantage-seed"}
 
-// streamLocalFlags tune the local streaming pipeline's spill writer. They
-// require -chunk, and have no meaning in worker mode, where completed
-// chunks go to the shared checkpoint directory instead of a local spill.
+// streamLocalFlags tune the local sweep's spill writer. They have no
+// meaning in worker mode, where completed chunks go to the shared
+// checkpoint directory instead of a local spill.
 var streamLocalFlags = []string{"mem-budget", "spill-dir"}
 
 // validateFlags rejects contradictory combinations of explicitly set
@@ -448,11 +370,6 @@ func validateFlags(set map[string]bool) error {
 			return fmt.Errorf("-worker requires -checkpoint-dir: the shard store shared with the coordinator")
 		}
 		return nil
-	}
-	for _, f := range streamLocalFlags {
-		if set[f] && !set["chunk"] {
-			return fmt.Errorf("-%s only applies to the streaming pipeline (pass -chunk with the targets-per-chunk size)", f)
-		}
 	}
 	for _, f := range workerOnlyFlags {
 		if set[f] {
@@ -504,16 +421,11 @@ func runWorker(url, name, cpDir, profilePath string, vantageSeed int64) int {
 	fmt.Fprintf(os.Stderr, "worker %s joining sweep %q (%d day(s) × %d shard(s))\n",
 		name, plan.Fingerprint, len(plan.Days), plan.Shards)
 
-	// A chunked plan puts every worker on the streaming path: shards are
-	// scanned chunk by chunk with each chunk durably flushed, so killing
-	// this process mid-shard only costs the chunk in flight.
+	// Shards are scanned chunk by chunk (one chunk per shard when the
+	// plan's chunk is 0) with each chunk durably flushed, so killing this
+	// process mid-shard only costs the chunk in flight.
 	cfg := dsweep.WorkerConfig{Name: name, Coord: client, OnEvent: eventf}
-	if plan.Chunk > 0 {
-		fmt.Fprintf(os.Stderr, "plan is chunked: streaming shards in chunks of %d targets\n", plan.Chunk)
-		cfg.StreamSetup, err = plan.Spec.BuildStream(vantage, vantageSeed, eventf)
-	} else {
-		cfg.Setup, err = plan.Spec.Build(vantage, vantageSeed, eventf)
-	}
+	cfg.StreamSetup, err = plan.Spec.BuildStream(vantage, vantageSeed, eventf)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return 1

@@ -37,8 +37,8 @@ func TestValidateFlags(t *testing.T) {
 		{"vantage-seed without worker", setOf("vantage-seed"), "only applies to -worker"},
 		{"streaming sweep", setOf("chunk", "mem-budget", "spill-dir", "o"), ""},
 		{"chunked resume", setOf("chunk", "resume", "checkpoint-dir"), ""},
-		{"mem-budget without chunk", setOf("mem-budget"), "-mem-budget only applies to the streaming pipeline"},
-		{"spill-dir without chunk", setOf("spill-dir", "o"), "-spill-dir only applies to the streaming pipeline"},
+		{"mem-budget without chunk", setOf("mem-budget"), ""},
+		{"spill-dir without chunk", setOf("spill-dir", "o"), ""},
 		{"worker with chunk", setOf("worker", "checkpoint-dir", "chunk"), "set them on regsec-sweepd"},
 		{"worker with spill-dir", setOf("worker", "checkpoint-dir", "spill-dir"), "does not apply to -worker mode"},
 		{"worker with mem-budget", setOf("worker", "checkpoint-dir", "mem-budget"), "does not apply to -worker mode"},

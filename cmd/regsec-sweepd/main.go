@@ -5,9 +5,10 @@
 // checksum-trailered shard archives into the shared -checkpoint-dir; the
 // daemon leases work units with deadlines, re-leases units whose worker
 // died or stalled, settles duplicate completions by checksum, and — once
-// every unit is complete — writes the CRC-verified merged archive, which
-// is byte-identical to a single-process `regsec-scan` of the same
-// configuration.
+// every unit is complete — writes the CRC-verified merged archive in
+// canonical (TLD, domain) order, which is byte-identical to a
+// single-process `regsec-scan` of the same world, sample, days and faults
+// at any -shards or -chunk.
 //
 // Usage:
 //
@@ -71,7 +72,7 @@ func run() int {
 	faultFrac := flag.Float64("fault-frac", 0, "fraction of DNS operators made faulty, identically on every worker")
 	faultLoss := flag.Float64("fault-loss", 0.2, "packet-loss probability on faulty operators")
 	faultSeed := flag.Int64("fault-seed", 1, "fault schedule seed")
-	chunk := flag.Int("chunk", 0, "run workers on the streaming path in chunks of this many targets (0 = whole-shard units)")
+	chunk := flag.Int("chunk", 0, "targets each worker scans and durably flushes at a time (0 = one chunk per shard)")
 	flag.Parse()
 
 	if *cpDir == "" || *outPath == "" {

@@ -1,16 +1,17 @@
 // Package checkpoint persists the progress of a multi-day measurement
 // sweep so an interrupted run — crash, SIGINT, OOM kill — resumes from the
-// last completed shard instead of day zero. The paper's core evidence is
+// last completed chunk instead of day zero. The paper's core evidence is
 // an unbroken 21-month daily archive (section 4.1); at production scale a
 // sweep that cannot survive its own process dying will eventually put a
 // hole in that series.
 //
 // A checkpoint directory holds one JSON state file plus one trailered
-// archive file per completed shard. Every write is durable (temp file +
-// fsync + atomic rename), and every shard read back on resume is verified
-// twice: the file's bytes against the CRC32C recorded in the state, and
-// the archive's own per-section trailers. A shard that fails either check
-// is reported damaged and re-scanned rather than trusted.
+// archive file per completed chunk (and, for distributed sweeps, per
+// completed shard). Every write is durable (temp file + fsync + atomic
+// rename), and every file read back on resume is verified twice: the
+// file's bytes against the CRC32C recorded in the state, and the archive's
+// own per-section trailers. A file that fails either check is reported
+// damaged and re-scanned rather than trusted.
 package checkpoint
 
 import (
@@ -42,14 +43,18 @@ type Shard struct {
 
 // DayProgress tracks one day of the sweep.
 type DayProgress struct {
-	// Done is set once every shard of the day has been written.
+	// Done is set once every chunk of every shard of the day has been
+	// written.
 	Done bool `json:"done"`
-	// Shards maps shard index to its completed archive.
+	// Shards maps shard index to a whole-shard archive. ResumableSweep no
+	// longer writes it (its durable unit is the chunk); a state file
+	// written by the retired whole-day sweep carries it, and such a day
+	// has no Partial progress.
 	Shards map[int]*Shard `json:"shards"`
-	// Partial maps shard index to its chunk-granular progress for
-	// streaming sweeps, where the durable unit is a chunk of a shard
-	// rather than the whole shard. A streaming day is Done when every
-	// chunk of every shard is recorded here; the Shards map stays empty.
+	// Partial maps shard index to its chunk-granular progress: the durable
+	// unit is a chunk of a shard (the whole shard when the sweep runs one
+	// chunk per shard). A day is Done when every chunk of every shard is
+	// recorded here.
 	Partial map[int]*ChunkProgress `json:"partial,omitempty"`
 }
 

@@ -34,11 +34,11 @@ const (
 	// ActSlowDisk sleeps Delay before the shard write while heartbeats
 	// continue — a slow disk that should NOT lose the lease.
 	ActSlowDisk
-	// ActKillBetweenChunks kills the worker on a chunked (streaming) unit
-	// after AfterChunks chunks have been durably flushed — the mid-shard
-	// SIGKILL the chunk files exist to survive: the re-leased unit reuses
-	// every flushed chunk by checksum and scans only the rest. On a
-	// non-chunked unit it behaves like ActKillBeforeWrite.
+	// ActKillBetweenChunks kills the worker after AfterChunks chunks of the
+	// claimed unit have been durably flushed — the mid-shard SIGKILL the
+	// chunk files exist to survive: the re-leased unit reuses every flushed
+	// chunk by checksum and scans only the rest. If the unit has fewer
+	// chunks than AfterChunks, it completes normally.
 	ActKillBetweenChunks
 )
 

@@ -3,8 +3,8 @@ package dsweep
 // The chaos harness: a real coordinator + in-process workers sweeping a
 // real in-memory signed-DNS world, with scripted kills, stalls, and slow
 // disks. Every test's acceptance bar is the same: whatever chaos is
-// injected, the merged archive must be byte-identical to an uninterrupted
-// single-process ResumableSweep of the same plan.
+// injected, the merged archive must be byte-identical to the whole-day
+// oracle — one uninterrupted ScanDay over every target, canonicalized.
 
 import (
 	"bytes"
@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"securepki.org/registrarsec/internal/checkpoint"
+	"securepki.org/registrarsec/internal/dataset"
 	"securepki.org/registrarsec/internal/dnstest"
 	"securepki.org/registrarsec/internal/dnswire"
 	"securepki.org/registrarsec/internal/registrar"
@@ -80,33 +81,45 @@ func buildTestWorld(t *testing.T) (*dnstest.Ecosystem, []scan.Target) {
 	return eco, scan.TargetsFromDomains(domains)
 }
 
-// testSetup builds a DaySetup over the fixed in-memory world.
-func testSetup(t *testing.T, eco *dnstest.Ecosystem, targets []scan.Target) scan.DaySetup {
-	return func(ctx context.Context, day simtime.Day) (*scan.Scanner, []scan.Target, error) {
-		s, err := scan.New(scan.Config{
-			Exchange: eco.Net,
-			TLDServers: map[string]string{
-				"com": dnstest.TLDServerAddr("com"),
-				"nl":  dnstest.TLDServerAddr("nl"),
-			},
-			Workers: 3,
-			Clock:   eco.Clock.Day,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return s, targets, nil
+// testStreamSetup builds a StreamDaySetup over the fixed in-memory world:
+// the targets behind a cursor, with no per-chunk prepare work (the
+// ecosystem is fully materialized already).
+func testStreamSetup(t *testing.T, eco *dnstest.Ecosystem, targets []scan.Target) scan.StreamDaySetup {
+	return func(ctx context.Context, day simtime.Day) (*scan.Scanner, scan.TargetSource, scan.ChunkPrepare, error) {
+		return testScanner(t, eco), scan.SliceTargets(targets), nil, nil
 	}
 }
 
-// referenceArchive runs an uninterrupted single-process ResumableSweep of
-// the plan and returns its archive bytes — the byte-identity oracle.
-func referenceArchive(t *testing.T, eco *dnstest.Ecosystem, targets []scan.Target, days []simtime.Day, shards int) []byte {
-	t.Helper()
-	rs := &scan.ResumableSweep{Shards: shards, Setup: testSetup(t, eco, targets)}
-	store, err := rs.Run(context.Background(), days)
+// testScanner builds a scanner over the fixed in-memory world.
+func testScanner(t *testing.T, eco *dnstest.Ecosystem) *scan.Scanner {
+	s, err := scan.New(scan.Config{
+		Exchange: eco.Net,
+		TLDServers: map[string]string{
+			"com": dnstest.TLDServerAddr("com"),
+			"nl":  dnstest.TLDServerAddr("nl"),
+		},
+		Workers: 3,
+		Clock:   eco.Clock.Day,
+	})
 	if err != nil {
 		t.Fatal(err)
+	}
+	return s
+}
+
+// referenceArchive is the byte-identity oracle: each day is one
+// uninterrupted ScanDay over every target, canonicalized. The merged
+// archive must match it whatever the shard count, chunk size or fleet.
+func referenceArchive(t *testing.T, eco *dnstest.Ecosystem, targets []scan.Target, days []simtime.Day) []byte {
+	t.Helper()
+	store := dataset.NewStore()
+	for _, day := range days {
+		snap, _, err := testScanner(t, eco).ScanDay(context.Background(), day, targets)
+		if err != nil {
+			t.Fatal(err)
+		}
+		snap.Canonicalize()
+		store.Add(snap)
 	}
 	var buf bytes.Buffer
 	if err := store.WriteArchive(&buf); err != nil {
@@ -138,7 +151,7 @@ func newChaosEnv(t *testing.T, shards int) *chaosEnv {
 		eco: eco, targets: targets, days: days,
 		plan:  Plan{Fingerprint: "chaos-drill-v1", Days: days, Shards: shards},
 		store: st,
-		want:  referenceArchive(t, eco, targets, days, shards),
+		want:  referenceArchive(t, eco, targets, days),
 	}
 }
 
@@ -149,9 +162,9 @@ func (env *chaosEnv) run(t *testing.T, ttl time.Duration, scripts map[string]*Sc
 	var workers []WorkerSpec
 	for _, name := range sortedKeys(scripts) {
 		workers = append(workers, WorkerSpec{
-			Name:  name,
-			Setup: testSetup(t, env.eco, env.targets),
-			Chaos: scripts[name],
+			Name:        name,
+			StreamSetup: testStreamSetup(t, env.eco, env.targets),
+			Chaos:       scripts[name],
 		})
 	}
 	store, res, err := RunLocal(context.Background(), LocalConfig{
@@ -284,8 +297,8 @@ func TestRunLocalCoordinatorRestartResumes(t *testing.T) {
 	_, res, err := RunLocal(context.Background(), LocalConfig{
 		Plan: env.plan, Store: env.store, LeaseTTL: 200 * time.Millisecond,
 		Workers: []WorkerSpec{
-			{Name: "w1", Setup: testSetup(t, env.eco, env.targets), Chaos: NewScript(Event{Claim: 2, Act: ActKillBeforeWrite})},
-			{Name: "w2", Setup: testSetup(t, env.eco, env.targets), Chaos: NewScript(Event{Claim: 2, Act: ActKillAfterWrite})},
+			{Name: "w1", StreamSetup: testStreamSetup(t, env.eco, env.targets), Chaos: NewScript(Event{Claim: 2, Act: ActKillBeforeWrite})},
+			{Name: "w2", StreamSetup: testStreamSetup(t, env.eco, env.targets), Chaos: NewScript(Event{Claim: 2, Act: ActKillAfterWrite})},
 		},
 		OnEvent: t.Logf,
 	})
@@ -308,7 +321,7 @@ func TestRunLocalCoordinatorRestartResumes(t *testing.T) {
 }
 
 func TestRunLocalMoreShardsThanTargets(t *testing.T) {
-	// Shard count above the target count: ShardSplit clamps, so the tail
+	// Shard count above the target count: ShardBounds clamps, so the tail
 	// units are legitimately empty. They must round-trip as empty archives
 	// and contribute nothing to the merge.
 	env := newChaosEnv(t, 16)

@@ -422,9 +422,9 @@ func (c *Coordinator) doneCountLocked() int {
 func (c *Coordinator) allDoneLocked() bool { return c.doneCountLocked() == len(c.order) }
 
 // Merge assembles the final archive: every unit's chosen shard is
-// re-loaded and CRC-verified, and records are concatenated in plan order
-// (days in plan order, shards in index order) — the exact assembly a
-// single-process ResumableSweep performs, so the output bytes match.
+// re-loaded and CRC-verified, and each day's records are put in canonical
+// (TLD, domain) order — the order a single-process ResumableSweep's spill
+// writer emits, so the output bytes match whatever the shard count.
 func (c *Coordinator) Merge() (*dataset.Store, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -443,6 +443,7 @@ func (c *Coordinator) Merge() (*dataset.Store, error) {
 			}
 			daySnap.Records = append(daySnap.Records, snap.Records...)
 		}
+		daySnap.Canonicalize()
 		store.Add(daySnap)
 	}
 	return store, nil

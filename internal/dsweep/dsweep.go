@@ -20,9 +20,11 @@
 //   - The coordinator persists lease and completion state atomically after
 //     every mutation, so a coordinator restart resumes the sweep instead
 //     of restarting it.
-//   - The final merge re-verifies every shard's CRC and concatenates
-//     shards in plan order, producing an archive byte-identical to an
-//     uninterrupted single-process ResumableSweep of the same plan.
+//   - The final merge re-verifies every shard's CRC and emits each day in
+//     canonical (TLD, domain) order, producing an archive byte-identical
+//     to an uninterrupted single-process ResumableSweep of the same world,
+//     sample, days and faults, whatever the shard count, chunk size or
+//     fleet size.
 //
 // Workers share the coordinator's checkpoint directory (same filesystem —
 // locally, or via shared storage), the same role OpenINTEL's central
@@ -57,14 +59,13 @@ type Plan struct {
 	Fingerprint string        `json:"fingerprint"`
 	Days        []simtime.Day `json:"days"`
 	// Shards is the number of work units per day; every participant splits
-	// a day's targets with scan.ShardSplit(targets, Shards).
+	// a day's target cursor with scan.ShardBounds(n, Shards).
 	Shards int `json:"shards"`
-	// Chunk, when positive, switches workers to the streaming scan path:
-	// each shard is scanned in chunks of this many targets, with every
-	// completed chunk durably flushed, so a killed worker resumes its
-	// shard at the last flushed chunk instead of from scratch. Zero keeps
-	// the legacy whole-shard path. The value shapes the durable chunk
-	// files, so it is part of the plan (and its fingerprint) like Shards.
+	// Chunk is the number of targets a worker scans and durably flushes at
+	// a time, so a killed worker resumes its shard at the last flushed
+	// chunk instead of from scratch; zero means one chunk per shard. The
+	// value shapes the durable chunk files, so it is part of the plan (and
+	// its fingerprint) like Shards.
 	Chunk int `json:"chunk,omitempty"`
 	// Spec, when set, carries the world configuration remote workers need
 	// to rebuild the sweep environment for themselves.

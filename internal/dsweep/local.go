@@ -17,10 +17,7 @@ import (
 type WorkerSpec struct {
 	// Name identifies the worker; must be unique within the topology.
 	Name string
-	// Setup builds the worker's scanning environment per day.
-	Setup scan.DaySetup
-	// StreamSetup is Setup's streaming counterpart, required when the plan
-	// carries a positive Chunk.
+	// StreamSetup builds the worker's scanning environment per day.
 	StreamSetup scan.StreamDaySetup
 	// Chaos, when set, injects scripted faults into this worker.
 	Chaos *Script
@@ -82,7 +79,6 @@ func RunLocal(ctx context.Context, cfg LocalConfig) (*dataset.Store, *Result, er
 			Name:        ws.Name,
 			Coord:       coord,
 			Store:       cfg.Store,
-			Setup:       ws.Setup,
 			StreamSetup: ws.StreamSetup,
 			Chaos:       ws.Chaos,
 			OnEvent:     cfg.OnEvent,

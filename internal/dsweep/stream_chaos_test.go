@@ -17,31 +17,8 @@ import (
 	"time"
 
 	"securepki.org/registrarsec/internal/checkpoint"
-	"securepki.org/registrarsec/internal/dnstest"
-	"securepki.org/registrarsec/internal/scan"
 	"securepki.org/registrarsec/internal/simtime"
 )
-
-// testStreamSetup builds a StreamDaySetup over the fixed in-memory world:
-// a cursor view of the same targets testSetup serves as a slice, with no
-// per-chunk prepare work (the ecosystem is fully materialized already).
-func testStreamSetup(t *testing.T, eco *dnstest.Ecosystem, targets []scan.Target) scan.StreamDaySetup {
-	return func(ctx context.Context, day simtime.Day) (*scan.Scanner, scan.TargetSource, scan.ChunkPrepare, error) {
-		s, err := scan.New(scan.Config{
-			Exchange: eco.Net,
-			TLDServers: map[string]string{
-				"com": dnstest.TLDServerAddr("com"),
-				"nl":  dnstest.TLDServerAddr("nl"),
-			},
-			Workers: 3,
-			Clock:   eco.Clock.Day,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return s, scan.SliceTargets(targets), nil, nil
-	}
-}
 
 // eventLog collects progress lines for assertions while echoing to the
 // test log.
@@ -82,7 +59,7 @@ func newChunkedEnv(t *testing.T, shards, chunk int) *chaosEnv {
 }
 
 // runChunked executes RunLocal with streaming workers and asserts the
-// merged archive is byte-identical to the whole-shard oracle.
+// merged archive is byte-identical to the whole-day oracle.
 func (env *chaosEnv) runChunked(t *testing.T, ttl time.Duration, scripts map[string]*Script, el *eventLog) *Result {
 	t.Helper()
 	var workers []WorkerSpec
@@ -105,7 +82,7 @@ func (env *chaosEnv) runChunked(t *testing.T, ttl time.Duration, scripts map[str
 		t.Fatal(err)
 	}
 	if !bytes.Equal(env.want, got.Bytes()) {
-		t.Errorf("chunked distributed archive differs from uninterrupted whole-shard sweep:\n--- want\n%s\n--- got\n%s",
+		t.Errorf("chunked distributed archive differs from the whole-day oracle:\n--- want\n%s\n--- got\n%s",
 			env.want, got.String())
 	}
 	return res
@@ -198,48 +175,27 @@ func TestRunLocalChunkedOwnerTagIsolation(t *testing.T) {
 	}
 }
 
+// TestWorkerRefusesChunkSetupMismatch: every plan is chunked (Chunk 0 is
+// one chunk per shard), so a worker without a StreamSetup is refused
+// before it joins, and a negative chunk size never validates.
 func TestWorkerRefusesChunkSetupMismatch(t *testing.T) {
-	eco, targets := buildTestWorld(t)
+	eco, _ := buildTestWorld(t)
 	days := []simtime.Day{eco.Clock.Day()}
-
-	// A chunked plan needs a StreamSetup; a whole-shard plan needs a Setup.
-	for _, tc := range []struct {
-		name string
-		plan Plan
-		cfg  WorkerConfig
-	}{
-		{
-			name: "chunked plan, legacy-only worker",
-			plan: Plan{Fingerprint: "fp chunk=2", Days: days, Shards: 2, Chunk: 2},
-			cfg:  WorkerConfig{Name: "w1", Setup: testSetup(t, eco, targets)},
-		},
-		{
-			name: "whole-shard plan, stream-only worker",
-			plan: Plan{Fingerprint: "fp", Days: days, Shards: 2},
-			cfg:  WorkerConfig{Name: "w1", StreamSetup: testStreamSetup(t, eco, targets)},
-		},
-	} {
-		st, err := checkpoint.Open(t.TempDir())
-		if err != nil {
-			t.Fatal(err)
-		}
-		coord, err := NewCoordinator(CoordinatorConfig{Plan: tc.plan, Store: st, LeaseTTL: time.Second})
-		if err != nil {
-			t.Fatalf("%s: coordinator: %v", tc.name, err)
-		}
-		tc.cfg.Store = st
-		tc.cfg.Coord = coord
-		w, err := NewWorker(tc.cfg)
-		if err != nil {
-			t.Fatalf("%s: NewWorker: %v", tc.name, err)
-		}
-		if err := w.Run(context.Background()); err == nil {
-			t.Errorf("%s: Run accepted the mismatch", tc.name)
-		}
-		coord.Close()
+	st, err := checkpoint.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	coord, err := NewCoordinator(CoordinatorConfig{
+		Plan: Plan{Fingerprint: "fp", Days: days, Shards: 2}, Store: st, LeaseTTL: time.Second,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord.Close()
+	if _, err := NewWorker(WorkerConfig{Name: "w1", Coord: coord, Store: st}); err == nil {
+		t.Error("worker without a StreamSetup accepted")
 	}
 
-	// Negative chunk sizes never validate.
 	bad := Plan{Fingerprint: "fp", Days: days, Shards: 1, Chunk: -1}
 	if err := bad.validate(); err == nil {
 		t.Error("negative plan chunk accepted")

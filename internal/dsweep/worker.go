@@ -24,14 +24,12 @@ type WorkerConfig struct {
 	Coord Coordination
 	// Store is the shared checkpoint directory shards are flushed into.
 	Store *checkpoint.Store
-	// Setup builds this worker's scanner and target list for one day —
-	// each worker owns its whole exchange stack, so vantage-point fault
-	// profiles and transport state never leak between workers.
-	Setup scan.DaySetup
-	// StreamSetup is Setup's streaming counterpart, required when the plan
-	// carries a positive Chunk: the worker scans its shard chunk by chunk,
-	// durably flushing each chunk, so a kill mid-shard resumes at the last
-	// flushed chunk instead of from scratch.
+	// StreamSetup builds this worker's scanner and target cursor for one
+	// day — each worker owns its whole exchange stack, so vantage-point
+	// fault profiles and transport state never leak between workers. The
+	// worker scans its shard chunk by chunk, durably flushing each chunk,
+	// so a kill mid-shard resumes at the last flushed chunk instead of
+	// from scratch.
 	StreamSetup scan.StreamDaySetup
 	// Chaos, when set, injects scripted faults (tests only).
 	Chaos *Script
@@ -48,20 +46,13 @@ type Worker struct {
 	cfg    WorkerConfig
 	claims int
 
-	cachedDay    simtime.Day
-	cachedSetup  *workerDay
-	cachedStream *workerDayStream
+	cachedDay simtime.Day
+	cached    *workerDayStream
 }
 
-// workerDay is one day's materialized scanning environment, cached because
-// the coordinator leases a day's shards consecutively.
-type workerDay struct {
-	scanner *scan.Scanner
-	parts   [][]scan.Target
-}
-
-// workerDayStream is one day's streaming scanning environment: a target
-// cursor and per-chunk prepare hook instead of a materialized target list.
+// workerDayStream is one day's scanning environment — the scanner, target
+// cursor, per-chunk prepare hook and shard spans — cached because the
+// coordinator leases a day's shards consecutively.
 type workerDayStream struct {
 	scanner *scan.Scanner
 	src     scan.TargetSource
@@ -79,7 +70,7 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 		return nil, fmt.Errorf("dsweep: worker requires a coordinator")
 	case cfg.Store == nil:
 		return nil, fmt.Errorf("dsweep: worker requires a checkpoint store")
-	case cfg.Setup == nil && cfg.StreamSetup == nil:
+	case cfg.StreamSetup == nil:
 		return nil, fmt.Errorf("dsweep: worker requires a day setup")
 	}
 	return &Worker{cfg: cfg}, nil
@@ -101,12 +92,6 @@ func (w *Worker) Run(ctx context.Context) error {
 	}
 	if err := plan.validate(); err != nil {
 		return err
-	}
-	if plan.Chunk > 0 && w.cfg.StreamSetup == nil {
-		return fmt.Errorf("dsweep: worker %s: plan wants chunked streaming (chunk=%d) but worker has no StreamSetup", w.cfg.Name, plan.Chunk)
-	}
-	if plan.Chunk == 0 && w.cfg.Setup == nil {
-		return fmt.Errorf("dsweep: worker %s: plan is whole-shard but worker has only a StreamSetup", w.cfg.Name)
 	}
 	for {
 		if err := ctx.Err(); err != nil {
@@ -158,48 +143,15 @@ func (w *Worker) runUnit(ctx context.Context, plan *Plan, grant *Grant) (bool, e
 	}
 	defer stopHB()
 
-	var (
-		snap   *dataset.Snapshot
-		health *scan.SweepHealth
-		err    error
-	)
-	if plan.Chunk > 0 {
-		snap, health, err = w.scanUnitChunked(ctx, plan, unit, ev)
-		if err != nil {
-			return false, err
-		}
-	} else {
-		day, err := w.day(ctx, plan, unit.Day)
-		if err != nil {
-			return false, err
-		}
-		// The plan's shard count is fixed, but ShardSplit clamps to the
-		// target count — indices past the split are legitimately empty units
-		// whose archive contributes zero records to the merge.
-		var part []scan.Target
-		if unit.Shard < len(day.parts) {
-			part = day.parts[unit.Shard]
-		}
-		snap, health, err = day.scanner.ScanDay(ctx, unit.Day, part)
-		if err != nil {
-			return false, fmt.Errorf("dsweep: worker %s: unit %s: %w", w.cfg.Name, unit, err)
-		}
+	snap, health, err := w.scanUnit(ctx, plan, unit, ev)
+	if err != nil {
+		return false, err
 	}
-	snap.Canonicalize()
 
 	switch ev.Act {
 	case ActKillBeforeWrite:
 		w.event("worker %s: chaos kill before write on %s (claim %d)", w.cfg.Name, unit, w.claims)
 		return false, ErrChaosKilled
-	case ActKillBetweenChunks:
-		// On a chunked unit the kill fires inside scanUnitChunked; reaching
-		// here means it never triggered (AfterChunks past the shard's chunk
-		// count) and the unit completes normally. On a whole-shard unit
-		// there are no chunks, so the action degrades to a pre-write kill.
-		if plan.Chunk == 0 {
-			w.event("worker %s: chaos kill before write on %s (claim %d)", w.cfg.Name, unit, w.claims)
-			return false, ErrChaosKilled
-		}
 	case ActStall:
 		w.event("worker %s: chaos stall %s on %s (claim %d)", w.cfg.Name, ev.Delay, unit, w.claims)
 		if err := sleepCtx(ctx, ev.Delay); err != nil {
@@ -237,27 +189,12 @@ func (w *Worker) runUnit(ctx context.Context, plan *Plan, grant *Grant) (bool, e
 	return reply.Done, nil
 }
 
-// day returns the worker's scanning environment for a day, building it via
-// Setup on first use. Only the most recent day is cached: the coordinator
-// grants in plan order, so day changes are monotone and rare.
-func (w *Worker) day(ctx context.Context, plan *Plan, d simtime.Day) (*workerDay, error) {
-	if w.cachedSetup != nil && w.cachedDay == d {
-		return w.cachedSetup, nil
-	}
-	scanner, targets, err := w.cfg.Setup(ctx, d)
-	if err != nil {
-		return nil, fmt.Errorf("dsweep: worker %s: setup for %s: %w", w.cfg.Name, d, err)
-	}
-	wd := &workerDay{scanner: scanner, parts: scan.ShardSplit(targets, plan.Shards)}
-	w.cachedDay, w.cachedSetup, w.cachedStream = d, wd, nil
-	return wd, nil
-}
-
-// dayStream is day's streaming counterpart, caching the cursor and the
-// shard spans derived from it.
+// dayStream returns the worker's scanning environment for a day, building
+// it via StreamSetup on first use. Only the most recent day is cached: the
+// coordinator grants in plan order, so day changes are monotone and rare.
 func (w *Worker) dayStream(ctx context.Context, plan *Plan, d simtime.Day) (*workerDayStream, error) {
-	if w.cachedStream != nil && w.cachedDay == d {
-		return w.cachedStream, nil
+	if w.cached != nil && w.cachedDay == d {
+		return w.cached, nil
 	}
 	scanner, src, prepare, err := w.cfg.StreamSetup(ctx, d)
 	if err != nil {
@@ -268,9 +205,8 @@ func (w *Worker) dayStream(ctx context.Context, plan *Plan, d simtime.Day) (*wor
 		src:     src,
 		prepare: prepare,
 		spans:   scan.ShardBounds(src.Len(), plan.Shards),
-		buf:     make([]scan.Target, 0, plan.Chunk),
 	}
-	w.cachedDay, w.cachedStream, w.cachedSetup = d, wd, nil
+	w.cachedDay, w.cached = d, wd
 	return wd, nil
 }
 
@@ -285,39 +221,35 @@ func (w *Worker) chunkOwner(plan *Plan) string {
 	return fmt.Sprintf("%s-%08x", w.cfg.Name, h.Sum32())
 }
 
-// scanUnitChunked scans one unit on the streaming path: the shard's cursor
-// span is walked in plan.Chunk-sized chunks, each chunk is durably flushed
-// as an owner-tagged checksum-trailered file the moment it completes, and
-// chunks already flushed by an earlier (killed) incarnation of this worker
-// are verified and reused instead of re-scanned. The assembled shard
-// snapshot is returned to runUnit, which writes the same whole-shard
-// archive a legacy worker would — the coordinator's completion and merge
-// protocol never sees the difference.
-func (w *Worker) scanUnitChunked(ctx context.Context, plan *Plan, unit UnitID, ev Event) (*dataset.Snapshot, *scan.SweepHealth, error) {
+// scanUnit scans one unit: the shard's cursor span is walked in
+// plan.Chunk-sized chunks (one chunk for the whole shard when Chunk is 0),
+// each chunk is durably flushed as an owner-tagged checksum-trailered file
+// the moment it completes, and chunks already flushed by an earlier
+// (killed) incarnation of this worker are verified and reused instead of
+// re-scanned. The assembled, canonicalized shard snapshot is returned to
+// runUnit, which writes it as the unit's shard archive for the
+// coordinator's completion and merge protocol.
+func (w *Worker) scanUnit(ctx context.Context, plan *Plan, unit UnitID, ev Event) (*dataset.Snapshot, *scan.SweepHealth, error) {
 	day, err := w.dayStream(ctx, plan, unit.Day)
 	if err != nil {
 		return nil, nil, err
 	}
-	// Indices past the span list are legitimately empty units, as in the
-	// legacy path.
+	// The plan's shard count is fixed, but ShardBounds clamps to the
+	// target count — indices past the span list are legitimately empty
+	// units whose archive contributes zero records to the merge.
 	var span scan.Span
 	if unit.Shard < len(day.spans) {
 		span = day.spans[unit.Shard]
 	}
-	chunks := 0
-	if span.Len() > 0 {
-		chunks = (span.Len() + plan.Chunk - 1) / plan.Chunk
-	}
+	chunkSz := scan.ChunkSize(plan.Chunk, span.Len())
+	chunks := (span.Len() + chunkSz - 1) / chunkSz
 	owner := w.chunkOwner(plan)
 	snap := &dataset.Snapshot{Day: unit.Day}
 	health := &scan.SweepHealth{Day: unit.Day, ByClass: make(map[scan.FailClass]int)}
 	flushed := 0
 	for c := 0; c < chunks; c++ {
-		clo := span.Lo + c*plan.Chunk
-		chi := clo + plan.Chunk
-		if chi > span.Hi {
-			chi = span.Hi
-		}
+		clo := span.Lo + c*chunkSz
+		chi := min(clo+chunkSz, span.Hi)
 		part, err := w.cfg.Store.LoadChunkAs(unit.Day, unit.Shard, c, owner)
 		if err == nil {
 			w.event("worker %s: reusing chunk %d/%d of %s (%d records)", w.cfg.Name, c+1, chunks, unit, len(part.Records))
@@ -350,6 +282,7 @@ func (w *Worker) scanUnitChunked(ctx context.Context, plan *Plan, unit UnitID, e
 			return nil, nil, ErrChaosKilled
 		}
 	}
+	snap.Canonicalize()
 	return snap, health, nil
 }
 

@@ -1,15 +1,14 @@
-package dnsserver_test
+package exchange_test
 
 import (
 	"context"
 	"errors"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"securepki.org/registrarsec/internal/dnsserver"
 	"securepki.org/registrarsec/internal/dnswire"
-	"securepki.org/registrarsec/internal/retry"
+	"securepki.org/registrarsec/internal/exchange"
 )
 
 // scriptedExchanger returns the scripted outcomes in order, then succeeds.
@@ -40,15 +39,11 @@ func rcode(rc dnswire.RCode) func(*dnswire.Message) (*dnswire.Message, error) {
 	}
 }
 
-func fastPolicy(attempts int) retry.Policy {
-	return retry.Policy{MaxAttempts: attempts, BaseDelay: time.Microsecond, MaxDelay: time.Microsecond}
-}
-
-func TestRetryingRecoversFromTransientErrors(t *testing.T) {
+func TestRetryRecoversFromTransientErrors(t *testing.T) {
 	inner := &scriptedExchanger{script: []func(*dnswire.Message) (*dnswire.Message, error){
 		fail("timeout"), fail("timeout"),
 	}}
-	ex := dnsserver.NewRetrying(inner, fastPolicy(3))
+	ex := exchange.NewRetry(inner, fastPolicy(3))
 	resp, err := ex.Exchange(context.Background(), "srv", dnswire.NewQuery(1, "a.com", dnswire.TypeNS))
 	if err != nil || !resp.Authoritative {
 		t.Fatalf("exchange: %v %v", resp, err)
@@ -58,11 +53,11 @@ func TestRetryingRecoversFromTransientErrors(t *testing.T) {
 	}
 }
 
-func TestRetryingExhaustsBudget(t *testing.T) {
+func TestRetryExhaustsBudget(t *testing.T) {
 	inner := &scriptedExchanger{script: []func(*dnswire.Message) (*dnswire.Message, error){
 		fail("t1"), fail("t2"), fail("t3"), fail("t4"),
 	}}
-	ex := dnsserver.NewRetrying(inner, fastPolicy(3))
+	ex := exchange.NewRetry(inner, fastPolicy(3))
 	if _, err := ex.Exchange(context.Background(), "srv", dnswire.NewQuery(1, "a.com", dnswire.TypeNS)); err == nil {
 		t.Fatal("expected failure")
 	}
@@ -74,11 +69,10 @@ func TestRetryingExhaustsBudget(t *testing.T) {
 	}
 }
 
-func TestRetryingNoRouteIsPermanent(t *testing.T) {
-	net := dnsserver.NewMemNet()
-	ex := dnsserver.NewRetrying(net, fastPolicy(5))
+func TestRetryNoRouteIsPermanent(t *testing.T) {
+	ex := exchange.NewRetry(dnsserver.NewMemNet(), fastPolicy(5))
 	_, err := ex.Exchange(context.Background(), "dark.example", dnswire.NewQuery(1, "a.com", dnswire.TypeNS))
-	if !errors.Is(err, dnsserver.ErrNoRoute) {
+	if !errors.Is(err, exchange.ErrNoRoute) {
 		t.Fatalf("err: %v", err)
 	}
 	if ex.Retries() != 0 {
@@ -91,7 +85,7 @@ func TestRetryLameRecoversAndGivesUpGracefully(t *testing.T) {
 	inner := &scriptedExchanger{script: []func(*dnswire.Message) (*dnswire.Message, error){
 		rcode(dnswire.RCodeServerFailure),
 	}}
-	ex := dnsserver.NewRetrying(inner, fastPolicy(3), dnsserver.RetryLame())
+	ex := exchange.NewRetry(inner, fastPolicy(3), exchange.RetryLame())
 	resp, err := ex.Exchange(context.Background(), "srv", dnswire.NewQuery(1, "a.com", dnswire.TypeNS))
 	if err != nil || resp.RCode != dnswire.RCodeSuccess {
 		t.Fatalf("recovery: %v %v", resp, err)
@@ -104,7 +98,7 @@ func TestRetryLameRecoversAndGivesUpGracefully(t *testing.T) {
 	always := &scriptedExchanger{script: []func(*dnswire.Message) (*dnswire.Message, error){
 		rcode(dnswire.RCodeServerFailure), rcode(dnswire.RCodeServerFailure), rcode(dnswire.RCodeServerFailure),
 	}}
-	ex2 := dnsserver.NewRetrying(always, fastPolicy(3), dnsserver.RetryLame())
+	ex2 := exchange.NewRetry(always, fastPolicy(3), exchange.RetryLame())
 	resp, err = ex2.Exchange(context.Background(), "srv", dnswire.NewQuery(2, "a.com", dnswire.TypeNS))
 	if err != nil || resp.RCode != dnswire.RCodeServerFailure {
 		t.Fatalf("persistent lame: %v %v", resp, err)
@@ -118,7 +112,7 @@ func TestRetryTruncated(t *testing.T) {
 		return resp, nil
 	}
 	inner := &scriptedExchanger{script: []func(*dnswire.Message) (*dnswire.Message, error){tc}}
-	ex := dnsserver.NewRetrying(inner, fastPolicy(3), dnsserver.RetryTruncated())
+	ex := exchange.NewRetry(inner, fastPolicy(3), exchange.RetryTruncated())
 	resp, err := ex.Exchange(context.Background(), "srv", dnswire.NewQuery(1, "a.com", dnswire.TypeNS))
 	if err != nil || resp.Truncated {
 		t.Fatalf("truncation retry: %v %v", resp, err)

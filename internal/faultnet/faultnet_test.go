@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"securepki.org/registrarsec/internal/dnsserver"
 	"securepki.org/registrarsec/internal/dnswire"
 	"securepki.org/registrarsec/internal/exchange"
 	"securepki.org/registrarsec/internal/retry"
@@ -180,12 +179,12 @@ func TestDeterministicSchedule(t *testing.T) {
 }
 
 // TestRetryRecoversThroughInjector drives the full middleware stack —
-// retrying exchanger over injector over clean transport — and checks the
+// retry layer over injector over clean transport — and checks the
 // retries-plus-failures identity that the sweep health report relies on.
 func TestRetryRecoversThroughInjector(t *testing.T) {
 	inner := &okExchanger{}
 	in := New(inner, 3, nil, Rule{Pattern: "*", Loss: 0.4})
-	rex := dnsserver.NewRetrying(in, retryTestPolicy())
+	rex := exchange.NewRetry(in, retryTestPolicy())
 	ok, failed := 0, 0
 	for i := 0; i < 200; i++ {
 		name := string(rune('a'+i%26)) + "x.com"

@@ -9,21 +9,33 @@ import (
 	"securepki.org/registrarsec/internal/simtime"
 )
 
-// DaySetup materializes the scanning environment for one day: the scanner
-// and the day's target population. It is called lazily — a resumed day
-// whose every shard verifies from the checkpoint never pays for a setup.
-type DaySetup func(ctx context.Context, day simtime.Day) (*Scanner, []Target, error)
+// StreamDaySetup materializes the scanning environment for one day: the
+// scanner, a random-access target cursor, and an optional per-chunk
+// prepare hook (nil when the scanning substrate needs no per-chunk work,
+// e.g. a fixed target slice over an already materialized network). It is
+// called lazily — a day fully verified from the checkpoint never pays for
+// a setup.
+type StreamDaySetup func(ctx context.Context, day simtime.Day) (*Scanner, TargetSource, ChunkPrepare, error)
 
-// ResumableSweep drives a multi-day sweep in checkpointable shards. Each
-// day's targets are split into a fixed number of shards; every completed
-// shard is durably written to the checkpoint directory before the next
-// one starts, so an interruption — SIGINT, crash, kill — loses at most
-// the shard in flight. A re-run with the same configuration resumes from
-// the last completed shard: finished days are verified by checksum
-// instead of re-scanned, damaged or missing shards are re-scanned, and
-// the in-flight shard of the interrupted run is re-done from scratch
-// (partial shards are discarded, never persisted), which keeps the final
-// archive byte-identical to an uninterrupted run.
+// DaySink receives each completed day of a sweep as a spill writer holding
+// the day's full record set. The sink typically calls sw.WriteSectionTo to
+// stream the canonical day section into an archive; the writer is closed
+// by the caller after the sink returns.
+type DaySink func(day simtime.Day, sw *dataset.SpillWriter) error
+
+// ResumableSweep drives a multi-day sweep in checkpointable chunks. Each
+// day's target cursor is split into a fixed number of shards, and each
+// shard is walked in chunks; every completed chunk is durably written to
+// the checkpoint directory before the next one starts, so an interruption
+// — SIGINT, crash, kill — loses at most the chunk in flight. A re-run with
+// the same configuration resumes from the last completed chunk: finished
+// days are verified by checksum instead of re-scanned, damaged or missing
+// chunks are re-scanned, and the in-flight chunk of the interrupted run is
+// re-done from scratch (partial chunks are discarded, never persisted),
+// which keeps the final archive byte-identical to an uninterrupted run.
+//
+// Each day's records reach the sink in canonical (TLD, domain) order, so
+// the archive bytes depend on neither the shard count nor the chunk size.
 type ResumableSweep struct {
 	// Checkpoint persists progress; nil runs the sweep without durability
 	// (still sharded and canonicalized, so output bytes are identical).
@@ -33,23 +45,19 @@ type ResumableSweep struct {
 	Fingerprint string
 	// Shards is the number of checkpoint units per day (default 4).
 	Shards int
-	// Setup builds the scanner and targets for one day.
-	Setup DaySetup
-	// StreamSetup is Setup's streaming counterpart (used by RunStream): it
-	// yields a target cursor and an optional per-chunk prepare hook instead
-	// of a materialized target slice.
+	// StreamSetup builds the scanner and target cursor for one day.
 	StreamSetup StreamDaySetup
-	// Chunk is RunStream's targets-per-chunk size (default DefaultChunk).
-	// It shapes the durable chunk files, so it must be covered by the
-	// Fingerprint — resuming under a different chunk size is refused at
-	// the shard level regardless.
+	// Chunk is the targets-per-chunk size; zero or negative means one
+	// chunk per shard. It shapes the durable chunk files, so it must be
+	// covered by the Fingerprint — resuming under a different chunk size
+	// is refused at the shard level regardless.
 	Chunk int
-	// Spill configures RunStream's per-day spill-to-disk writers.
+	// Spill configures the per-day spill-to-disk writers.
 	Spill dataset.SpillOptions
 	// OnDayHealth, when set, receives each day's aggregated health report.
 	OnDayHealth func(day simtime.Day, h *SweepHealth)
-	// OnEvent, when set, receives progress lines (resume skips, shard
-	// completions, damage re-scans).
+	// OnEvent, when set, receives progress lines (resume skips, damage
+	// re-scans).
 	OnEvent func(format string, args ...any)
 }
 
@@ -68,56 +76,17 @@ func (rs *ResumableSweep) shards() int {
 	return rs.Shards
 }
 
-// ShardSplit partitions targets into n contiguous shards (the first
-// len(targets)%n shards get one extra element). The split is a pure
-// function of the target list, so an interrupted run, its resume, and
-// every worker of a distributed sweep agree on every shard boundary.
-func ShardSplit(targets []Target, n int) [][]Target {
-	if n > len(targets) && len(targets) > 0 {
-		n = len(targets)
+// ChunkSize returns the effective chunk size for a shard of n targets:
+// chunk when positive, otherwise the whole shard (at least 1, so an empty
+// shard still has a well-defined geometry).
+func ChunkSize(chunk, n int) int {
+	if chunk > 0 {
+		return chunk
 	}
-	if n <= 0 {
-		n = 1
+	if n > 0 {
+		return n
 	}
-	parts := make([][]Target, 0, n)
-	size, rem := len(targets)/n, len(targets)%n
-	start := 0
-	for i := 0; i < n; i++ {
-		end := start + size
-		if i < rem {
-			end++
-		}
-		parts = append(parts, targets[start:end])
-		start = end
-	}
-	return parts
-}
-
-// Run executes the sweep over days, returning the archived store. On
-// context cancellation it persists a clean checkpoint (every finished
-// shard recorded, the interrupted shard dropped) and returns the partial
-// store together with the context's error; re-running Run with the same
-// configuration picks up from there.
-func (rs *ResumableSweep) Run(ctx context.Context, days []simtime.Day) (*dataset.Store, error) {
-	if rs.Setup == nil {
-		return nil, fmt.Errorf("scan: ResumableSweep requires a Setup function")
-	}
-	st, release, err := rs.lockAndLoad()
-	if err != nil {
-		return nil, err
-	}
-	defer release()
-	store := dataset.NewStore()
-	for _, day := range days {
-		snap, err := rs.runDay(ctx, day, st)
-		if snap != nil {
-			store.Add(snap)
-		}
-		if err != nil {
-			return store, err
-		}
-	}
-	return store, nil
+	return 1
 }
 
 // lockAndLoad acquires the checkpoint's single-writer lock and loads (or
@@ -159,116 +128,202 @@ func (rs *ResumableSweep) saveState(st *checkpoint.State) error {
 	return rs.Checkpoint.Save(st)
 }
 
-// runDay completes one day: verified shards load from the checkpoint,
-// everything else is scanned shard by shard with a durable checkpoint
-// after each.
-func (rs *ResumableSweep) runDay(ctx context.Context, day simtime.Day, st *checkpoint.State) (*dataset.Snapshot, error) {
-	nShards := rs.shards()
-	dp := st.Day(day)
+// RunStream executes the sweep over days with bounded memory: targets come
+// off a cursor chunk by chunk, every completed chunk is durably
+// checkpointed before the next starts, and each day's records accumulate
+// in a spill writer (RAM up to Spill.MemBudget, sorted run files beyond)
+// handed to sink when the day completes. A SIGKILL mid-shard loses at most
+// the chunk in flight; the re-run verifies completed chunks by checksum
+// and re-enters the shard at the first missing chunk. On context
+// cancellation it persists a clean checkpoint and returns the context's
+// error; re-running with the same configuration picks up from there.
+func (rs *ResumableSweep) RunStream(ctx context.Context, days []simtime.Day, sink DaySink) error {
+	if rs.StreamSetup == nil {
+		return fmt.Errorf("scan: RunStream requires a StreamSetup function")
+	}
+	st, release, err := rs.lockAndLoad()
+	if err != nil {
+		return err
+	}
+	defer release()
+	for _, day := range days {
+		if err := rs.runDayStream(ctx, day, st, sink); err != nil {
+			return err
+		}
+	}
+	return nil
+}
 
-	// Fast path: the whole day is checkpointed — verify every shard by
+// runDayStream completes one day chunk by chunk. The durable unit is the
+// chunk, and a completed day keeps its Partial chunk map as the record of
+// what the day is made of.
+func (rs *ResumableSweep) runDayStream(ctx context.Context, day simtime.Day, st *checkpoint.State, sink DaySink) (err error) {
+	dp := st.Day(day)
+	sw := dataset.NewSpillWriter(day, rs.Spill)
+	defer func() {
+		if cerr := sw.Close(); cerr != nil && err == nil {
+			err = cerr
+		}
+	}()
+
+	// Fast path: the whole day is checkpointed — verify every chunk by
 	// checksum and skip the scan (and the day's setup) entirely.
 	if dp.Done && rs.Checkpoint != nil {
-		if snap, ok := rs.loadDoneDay(day, dp); ok {
-			rs.event("resume: day %s verified from checkpoint (%d records), skipping scan", day, len(snap.Records))
-			return snap, nil
+		ok, lerr := rs.loadDoneDayStream(day, dp, sw)
+		if lerr != nil {
+			return lerr
 		}
-		// Some shard is damaged or missing: demote the day and fall
-		// through to re-scan exactly the broken shards.
+		if ok {
+			rs.event("resume: day %s verified from checkpoint (%d records), skipping scan", day, sw.Len())
+			return rs.finishDayStream(day, sw, sink)
+		}
+		// Some chunk is damaged or missing: demote the day, discard
+		// whatever the partial verification appended, and re-enter the
+		// general path with a fresh writer.
 		dp.Done = false
-		if err := rs.saveState(st); err != nil {
-			return nil, err
+		if serr := rs.saveState(st); serr != nil {
+			return serr
 		}
+		if cerr := sw.Close(); cerr != nil {
+			return cerr
+		}
+		sw = dataset.NewSpillWriter(day, rs.Spill)
 	}
 
-	scanner, targets, err := rs.Setup(ctx, day)
+	scanner, src, prepare, err := rs.StreamSetup(ctx, day)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	parts := ShardSplit(targets, nShards)
-	daySnap := &dataset.Snapshot{Day: day, Records: make([]dataset.Record, 0, len(targets))}
-	dayHealth := &SweepHealth{Day: day, Targets: 0, ByClass: make(map[FailClass]int)}
+	spans := ShardBounds(src.Len(), rs.shards())
+	dayHealth := &SweepHealth{Day: day, ByClass: make(map[FailClass]int)}
+	var buf []Target
 
-	for k, part := range parts {
-		if meta := dp.Shards[k]; meta != nil && rs.Checkpoint != nil {
-			snap, err := rs.Checkpoint.LoadShard(day, k, meta)
-			if err == nil {
-				rs.event("resume: day %s shard %d/%d verified from checkpoint (%d records)", day, k+1, len(parts), len(snap.Records))
-				daySnap.Records = append(daySnap.Records, snap.Records...)
-				dayHealth.Merge(HealthFromSnapshot(day, len(part), snap))
-				continue
-			}
-			rs.event("resume: day %s shard %d/%d damaged (%v), re-scanning", day, k+1, len(parts), err)
-			delete(dp.Shards, k)
+	for k, span := range spans {
+		chunkSz := ChunkSize(rs.Chunk, span.Len())
+		cp, err := dp.ChunkShard(k, chunkSz, span.Len())
+		if err != nil {
+			// The checkpoint's chunk geometry disagrees with this run's
+			// plan — the recorded chunk files mean something else. Refuse,
+			// like a fingerprint mismatch, rather than fabricate a day out
+			// of incompatible pieces.
+			return fmt.Errorf("scan: day %s: %w", day, err)
 		}
+		for c := 0; c < cp.Chunks; c++ {
+			clo := span.Lo + c*chunkSz
+			chi := min(clo+chunkSz, span.Hi)
+			if meta := cp.Done[c]; meta != nil && rs.Checkpoint != nil {
+				snap, err := rs.Checkpoint.LoadChunk(day, k, c, meta)
+				if err == nil {
+					rs.event("resume: day %s shard %d chunk %d/%d verified from checkpoint (%d records)",
+						day, k, c+1, cp.Chunks, len(snap.Records))
+					if err := sw.Append(snap.Records...); err != nil {
+						return err
+					}
+					dayHealth.Merge(HealthFromSnapshot(day, chi-clo, snap))
+					continue
+				}
+				rs.event("resume: day %s shard %d chunk %d/%d damaged (%v), re-scanning", day, k, c+1, cp.Chunks, err)
+				delete(cp.Done, c)
+			}
 
-		snap, health, scanErr := scanner.ScanDay(ctx, day, part)
-		dayHealth.Merge(health)
-		if scanErr != nil {
-			// Interrupted mid-shard: drop the partial shard, persist what
-			// is already complete, and hand the caller a clean resume
-			// point.
-			if saveErr := rs.saveState(st); saveErr != nil {
-				return nil, fmt.Errorf("scan: %w (and checkpoint save failed: %v)", scanErr, saveErr)
+			if prepare != nil {
+				if err := prepare(ctx, clo, chi); err != nil {
+					return err
+				}
 			}
-			if rs.OnDayHealth != nil {
-				rs.OnDayHealth(day, dayHealth)
+			buf = CollectTargets(src, clo, chi, buf)
+			snap, health, scanErr := scanner.ScanDay(ctx, day, buf)
+			dayHealth.Merge(health)
+			if scanErr != nil {
+				// Interrupted mid-chunk: drop the partial chunk, persist
+				// what is already complete, and hand the caller a clean
+				// resume point.
+				if saveErr := rs.saveState(st); saveErr != nil {
+					return fmt.Errorf("scan: %w (and checkpoint save failed: %v)", scanErr, saveErr)
+				}
+				if rs.OnDayHealth != nil {
+					rs.OnDayHealth(day, dayHealth)
+				}
+				return scanErr
 			}
-			return nil, scanErr
+			snap.Canonicalize()
+			if rs.Checkpoint != nil {
+				meta, err := rs.Checkpoint.WriteChunk(day, k, c, snap)
+				if err != nil {
+					return err
+				}
+				cp.Done[c] = meta
+				if err := rs.saveState(st); err != nil {
+					return err
+				}
+			}
+			if err := sw.Append(snap.Records...); err != nil {
+				return err
+			}
 		}
-		snap.Canonicalize()
-		if rs.Checkpoint != nil {
-			meta, err := rs.Checkpoint.WriteShard(day, k, snap)
-			if err != nil {
-				return nil, err
-			}
-			dp.Shards[k] = meta
-			if err := rs.saveState(st); err != nil {
-				return nil, err
-			}
-		}
-		daySnap.Records = append(daySnap.Records, snap.Records...)
 	}
 
 	dp.Done = true
 	if err := rs.saveState(st); err != nil {
-		return nil, err
+		return err
 	}
 	if rs.OnDayHealth != nil {
 		rs.OnDayHealth(day, dayHealth)
 	}
-	return daySnap, nil
+	return rs.finishDayStream(day, sw, sink)
 }
 
-// loadDoneDay assembles a completed day from its checkpointed shards,
-// verifying each; ok is false if any shard fails verification (the
-// damaged entries are removed so the caller re-scans just those).
-func (rs *ResumableSweep) loadDoneDay(day simtime.Day, dp *checkpoint.DayProgress) (*dataset.Snapshot, bool) {
-	nShards := len(dp.Shards)
-	snap := &dataset.Snapshot{Day: day}
-	for k := 0; k < nShards; k++ {
-		meta := dp.Shards[k]
-		if meta == nil {
-			rs.event("resume: day %s shard %d missing from checkpoint state", day, k)
-			return nil, false
-		}
-		part, err := rs.Checkpoint.LoadShard(day, k, meta)
-		if err != nil {
-			rs.event("resume: day %s shard %d failed verification (%v)", day, k, err)
-			delete(dp.Shards, k)
-			return nil, false
-		}
-		snap.Records = append(snap.Records, part.Records...)
+// finishDayStream hands the completed day to the sink.
+func (rs *ResumableSweep) finishDayStream(day simtime.Day, sw *dataset.SpillWriter, sink DaySink) error {
+	if sink == nil {
+		return nil
 	}
-	return snap, true
+	return sink(day, sw)
+}
+
+// loadDoneDayStream assembles a completed day from its checkpointed chunks
+// into sw, verifying each. ok is false if any chunk fails verification
+// (damaged entries are removed so the caller re-scans just those), and
+// also for a day marked done with no chunk progress at all: that is the
+// state the retired whole-day sweep left behind (its shard files are not
+// chunk files), and serving it would return an empty day as verified.
+func (rs *ResumableSweep) loadDoneDayStream(day simtime.Day, dp *checkpoint.DayProgress, sw *dataset.SpillWriter) (bool, error) {
+	if len(dp.Partial) == 0 {
+		rs.event("resume: day %s is marked done but has no chunk progress, re-scanning", day)
+		return false, nil
+	}
+	for k := 0; k < len(dp.Partial); k++ {
+		cp := dp.Partial[k]
+		if cp == nil {
+			rs.event("resume: day %s shard %d missing from chunk progress", day, k)
+			return false, nil
+		}
+		for c := 0; c < cp.Chunks; c++ {
+			meta := cp.Done[c]
+			if meta == nil {
+				rs.event("resume: day %s shard %d chunk %d missing from checkpoint state", day, k, c)
+				return false, nil
+			}
+			snap, err := rs.Checkpoint.LoadChunk(day, k, c, meta)
+			if err != nil {
+				rs.event("resume: day %s shard %d chunk %d failed verification (%v)", day, k, c, err)
+				delete(cp.Done, c)
+				return false, nil
+			}
+			if err := sw.Append(snap.Records...); err != nil {
+				return false, err
+			}
+		}
+	}
+	return true, nil
 }
 
 // HealthFromSnapshot reconstructs approximate health accounting for a
-// shard or chunk restored from the checkpoint: measured and failed
-// records are exact (they are in the snapshot); targets absent from the
-// snapshot were unregistered or unknown-TLD at scan time and are folded
-// into Unregistered, since the checkpoint does not persist that
-// distinction. The reconstruction is always Balanced.
+// chunk restored from the checkpoint: measured and failed records are
+// exact (they are in the snapshot); targets absent from the snapshot were
+// unregistered or unknown-TLD at scan time and are folded into
+// Unregistered, since the checkpoint does not persist that distinction.
+// The reconstruction is always Balanced.
 func HealthFromSnapshot(day simtime.Day, shardTargets int, snap *dataset.Snapshot) *SweepHealth {
 	h := &SweepHealth{Day: day, Targets: shardTargets, ByClass: make(map[FailClass]int)}
 	h.Measured = snap.MeasuredCount()

@@ -3,6 +3,7 @@ package scan_test
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -10,9 +11,10 @@ import (
 	"testing"
 
 	"securepki.org/registrarsec/internal/checkpoint"
-	"securepki.org/registrarsec/internal/dnsserver"
+	"securepki.org/registrarsec/internal/dataset"
 	"securepki.org/registrarsec/internal/dnstest"
 	"securepki.org/registrarsec/internal/dnswire"
+	"securepki.org/registrarsec/internal/exchange"
 	"securepki.org/registrarsec/internal/scan"
 	"securepki.org/registrarsec/internal/simtime"
 )
@@ -21,7 +23,7 @@ import (
 // lets the exchange itself fail on the dead context — a deterministic kill
 // point mid-sweep.
 type cancelAtExchanger struct {
-	inner  dnsserver.Exchanger
+	inner  exchange.Exchanger
 	cancel context.CancelFunc
 	at     int64
 	n      atomic.Int64
@@ -37,11 +39,12 @@ func (e *cancelAtExchanger) Exchange(ctx context.Context, server string, q *dnsw
 	return e.inner.Exchange(ctx, server, q)
 }
 
-// sweepSetup returns a DaySetup over the fixed in-memory world, optionally
-// wrapping the exchanger.
-func sweepSetup(t *testing.T, eco *dnstest.Ecosystem, targets []scan.Target, wrap func(dnsserver.Exchanger) dnsserver.Exchanger) scan.DaySetup {
-	return func(ctx context.Context, day simtime.Day) (*scan.Scanner, []scan.Target, error) {
-		var ex dnsserver.Exchanger = eco.Net
+// sweepSetup returns a StreamDaySetup over the fixed in-memory world,
+// optionally wrapping the exchanger: the target list behind a cursor and
+// no per-chunk prepare (the in-memory world serves every domain already).
+func sweepSetup(t *testing.T, eco *dnstest.Ecosystem, targets []scan.Target, wrap func(exchange.Exchanger) exchange.Exchanger) scan.StreamDaySetup {
+	return func(ctx context.Context, day simtime.Day) (*scan.Scanner, scan.TargetSource, scan.ChunkPrepare, error) {
+		var ex exchange.Exchanger = eco.Net
 		if wrap != nil {
 			ex = wrap(ex)
 		}
@@ -57,27 +60,80 @@ func sweepSetup(t *testing.T, eco *dnstest.Ecosystem, targets []scan.Target, wra
 		if err != nil {
 			t.Fatal(err)
 		}
-		return s, targets, nil
+		return s, scan.SliceTargets(targets), nil, nil
 	}
 }
 
-func TestResumableSweepKillResume(t *testing.T) {
-	eco, targets := buildWorld(t)
-	days := []simtime.Day{eco.Clock.Day(), eco.Clock.Day() + 1}
+// wholeDayArchive is the byte-identity oracle for every sweep geometry:
+// each day is one ScanDay over all targets, canonicalized, written as an
+// archive. A sweep's output must match it byte for byte whatever its shard
+// count and chunk size.
+func wholeDayArchive(t *testing.T, eco *dnstest.Ecosystem, targets []scan.Target, days []simtime.Day) []byte {
+	t.Helper()
+	store := dataset.NewStore()
+	for _, day := range days {
+		snap, _, err := newScanner(t, eco, 3).ScanDay(context.Background(), day, targets)
+		if err != nil {
+			t.Fatal(err)
+		}
+		snap.Canonicalize()
+		store.Add(snap)
+	}
+	var buf bytes.Buffer
+	if err := store.WriteArchive(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
 
-	// Reference: an uninterrupted, checkpoint-less run.
-	clean := &scan.ResumableSweep{Shards: 3, Setup: sweepSetup(t, eco, targets, nil)}
-	cleanStore, err := clean.Run(context.Background(), days)
+// archiveViaStream runs a sweep into an on-disk archive and returns the
+// file bytes.
+func archiveViaStream(t *testing.T, rs *scan.ResumableSweep, days []simtime.Day) []byte {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "stream.tsv")
+	aw, err := dataset.NewArchiveWriter(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var want bytes.Buffer
-	if err := cleanStore.WriteArchive(&want); err != nil {
+	if err := rs.RunStream(context.Background(), days, func(day simtime.Day, sw *dataset.SpillWriter) error {
+		return aw.Section(sw)
+	}); err != nil {
+		aw.Abort()
 		t.Fatal(err)
 	}
+	if err := aw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
 
-	// Interrupted run: the kill lands mid-sweep, after the first day's
-	// worth of queries — deep enough that at least one shard completed.
+// TestResumableSweepKillResume drills the one-chunk-per-shard geometry
+// (Chunk 0): the kill lands mid-shard, and the resume re-scans exactly
+// the shards not yet durable.
+func TestResumableSweepKillResume(t *testing.T) {
+	eco, targets := buildWorld(t)
+	days := []simtime.Day{eco.Clock.Day(), eco.Clock.Day() + 1}
+	want := wholeDayArchive(t, eco, targets, days)
+
+	// Count a clean run's exchanges to place the kill around 60% in:
+	// deep enough that at least one shard completed.
+	counter := &cancelAtExchanger{inner: eco.Net, at: -1}
+	probe := &scan.ResumableSweep{Shards: 3, StreamSetup: sweepSetup(t, eco, targets, func(ex exchange.Exchanger) exchange.Exchanger {
+		counter.inner = ex
+		return counter
+	})}
+	if err := probe.RunStream(context.Background(), []simtime.Day{days[0]}, nil); err != nil {
+		t.Fatal(err)
+	}
+	killAt := counter.n.Load() * 6 / 10
+	if killAt < 2 {
+		killAt = 2
+	}
+
 	dir := t.TempDir()
 	cp, err := checkpoint.Open(dir)
 	if err != nil {
@@ -85,36 +141,19 @@ func TestResumableSweepKillResume(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	killAt := int64(1)
-	// Count a clean run's exchanges to place the kill around 60% in.
-	counter := &cancelAtExchanger{inner: eco.Net, at: -1}
-	probe := &scan.ResumableSweep{Shards: 3, Setup: func(c context.Context, d simtime.Day) (*scan.Scanner, []scan.Target, error) {
-		return sweepSetup(t, eco, targets, func(ex dnsserver.Exchanger) dnsserver.Exchanger {
-			counter.inner = ex
-			return counter
-		})(c, d)
-	}}
-	if _, err := probe.Run(context.Background(), []simtime.Day{days[0]}); err != nil {
-		t.Fatal(err)
-	}
-	killAt = counter.n.Load() * 6 / 10
-	if killAt < 2 {
-		killAt = 2
-	}
-
 	killer := &cancelAtExchanger{cancel: cancel, at: killAt}
 	var events []string
 	interrupted := &scan.ResumableSweep{
 		Checkpoint:  cp,
 		Fingerprint: "drill-v1",
 		Shards:      3,
-		Setup: sweepSetup(t, eco, targets, func(ex dnsserver.Exchanger) dnsserver.Exchanger {
+		StreamSetup: sweepSetup(t, eco, targets, func(ex exchange.Exchanger) exchange.Exchanger {
 			killer.inner = ex
 			return killer
 		}),
 		OnEvent: func(f string, a ...any) { events = append(events, f) },
 	}
-	if _, err := interrupted.Run(ctx, days); err == nil {
+	if err := interrupted.RunStream(ctx, days, nil); err == nil {
 		t.Fatal("interrupted run reported success")
 	}
 	if !cp.Exists() {
@@ -127,31 +166,15 @@ func TestResumableSweepKillResume(t *testing.T) {
 		Checkpoint:  cp,
 		Fingerprint: "drill-v1",
 		Shards:      3,
-		Setup:       sweepSetup(t, eco, targets, nil),
+		StreamSetup: sweepSetup(t, eco, targets, nil),
 		OnEvent:     func(f string, a ...any) { events = append(events, f) },
 	}
-	resumedStore, err := resumed.Run(context.Background(), days)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got bytes.Buffer
-	if err := resumedStore.WriteArchive(&got); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(want.Bytes(), got.Bytes()) {
-		t.Errorf("resumed archive differs from uninterrupted run:\n--- want\n%s\n--- got\n%s", want.String(), got.String())
+	if got := archiveViaStream(t, resumed, days); !bytes.Equal(want, got) {
+		t.Errorf("resumed archive differs from the whole-day oracle:\n--- want\n%s\n--- got\n%s", want, got)
 	}
 
 	// A second resume verifies everything from checksum without scanning.
-	again, err := resumed.Run(context.Background(), days)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rebuilt bytes.Buffer
-	if err := again.WriteArchive(&rebuilt); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(want.Bytes(), rebuilt.Bytes()) {
+	if again := archiveViaStream(t, resumed, days); !bytes.Equal(want, again) {
 		t.Error("checksum-verified reload diverges from the scan")
 	}
 	verified := false
@@ -174,13 +197,13 @@ func TestResumableSweepFingerprintGuard(t *testing.T) {
 		t.Fatal(err)
 	}
 	first := &scan.ResumableSweep{Checkpoint: cp, Fingerprint: "cfg-a", Shards: 2,
-		Setup: sweepSetup(t, eco, targets, nil)}
-	if _, err := first.Run(context.Background(), []simtime.Day{day}); err != nil {
+		StreamSetup: sweepSetup(t, eco, targets, nil)}
+	if err := first.RunStream(context.Background(), []simtime.Day{day}, nil); err != nil {
 		t.Fatal(err)
 	}
 	other := &scan.ResumableSweep{Checkpoint: cp, Fingerprint: "cfg-b", Shards: 2,
-		Setup: sweepSetup(t, eco, targets, nil)}
-	if _, err := other.Run(context.Background(), []simtime.Day{day}); err == nil ||
+		StreamSetup: sweepSetup(t, eco, targets, nil)}
+	if err := other.RunStream(context.Background(), []simtime.Day{day}, nil); err == nil ||
 		!strings.Contains(err.Error(), "different sweep") {
 		t.Errorf("foreign checkpoint accepted: %v", err)
 	}
@@ -195,18 +218,11 @@ func TestResumableSweepDamagedShardRescanned(t *testing.T) {
 		t.Fatal(err)
 	}
 	rs := &scan.ResumableSweep{Checkpoint: cp, Fingerprint: "cfg", Shards: 2,
-		Setup: sweepSetup(t, eco, targets, nil)}
-	store, err := rs.Run(context.Background(), []simtime.Day{day})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var want bytes.Buffer
-	if err := store.WriteArchive(&want); err != nil {
-		t.Fatal(err)
-	}
+		StreamSetup: sweepSetup(t, eco, targets, nil)}
+	want := archiveViaStream(t, rs, []simtime.Day{day})
 
-	// Bit-flip one shard file at rest.
-	matches, err := filepath.Glob(filepath.Join(dir, "day-*-shard-000.tsv"))
+	// Bit-flip shard 0's file at rest (one chunk per shard: Chunk is 0).
+	matches, err := filepath.Glob(filepath.Join(dir, "day-*-shard-000-chunk-*.tsv"))
 	if err != nil || len(matches) != 1 {
 		t.Fatalf("shard files: %v, %v", matches, err)
 	}
@@ -221,15 +237,7 @@ func TestResumableSweepDamagedShardRescanned(t *testing.T) {
 
 	var events []string
 	rs.OnEvent = func(f string, a ...any) { events = append(events, f) }
-	redone, err := rs.Run(context.Background(), []simtime.Day{day})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got bytes.Buffer
-	if err := redone.WriteArchive(&got); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(want.Bytes(), got.Bytes()) {
+	if got := archiveViaStream(t, rs, []simtime.Day{day}); !bytes.Equal(want, got) {
 		t.Error("re-scan after shard damage diverges from original archive")
 	}
 	sawDamage := false
@@ -240,5 +248,49 @@ func TestResumableSweepDamagedShardRescanned(t *testing.T) {
 	}
 	if !sawDamage {
 		t.Errorf("damage not reported: %q", events)
+	}
+}
+
+// TestRunStreamDoneDayWithoutChunksRescanned writes the state the retired
+// whole-day sweep left behind — a day marked done whose records live in
+// shard files, with no chunk progress — and checks the day is re-scanned
+// in full instead of served empty as verified.
+func TestRunStreamDoneDayWithoutChunksRescanned(t *testing.T) {
+	eco, targets := buildWorld(t)
+	day := eco.Clock.Day()
+	want := wholeDayArchive(t, eco, targets, []simtime.Day{day})
+
+	cp, err := checkpoint.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, _, err := newScanner(t, eco, 3).ScanDay(context.Background(), day, targets)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap.Canonicalize()
+	meta, err := cp.WriteShard(day, 0, snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := checkpoint.NewState("old-layout")
+	dp := st.Day(day)
+	dp.Shards[0] = meta
+	dp.Done = true
+	if err := cp.Save(st); err != nil {
+		t.Fatal(err)
+	}
+
+	var events []string
+	rs := &scan.ResumableSweep{
+		Checkpoint: cp, Fingerprint: "old-layout", Shards: 1,
+		StreamSetup: sweepSetup(t, eco, targets, nil),
+		OnEvent:     func(f string, a ...any) { events = append(events, fmt.Sprintf(f, a...)) },
+	}
+	if got := archiveViaStream(t, rs, []simtime.Day{day}); !bytes.Equal(want, got) {
+		t.Errorf("done day without chunk progress not re-scanned in full:\n--- want\n%s\n--- got\n%s", want, got)
+	}
+	if !strings.Contains(strings.Join(events, "\n"), "no chunk progress") {
+		t.Errorf("re-scan not reported: %q", events)
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"securepki.org/registrarsec/internal/dnsserver"
 	"securepki.org/registrarsec/internal/dnstest"
 	"securepki.org/registrarsec/internal/dnswire"
+	"securepki.org/registrarsec/internal/exchange"
 	"securepki.org/registrarsec/internal/registrar"
 	"securepki.org/registrarsec/internal/scan"
 )
@@ -192,7 +193,7 @@ func TestScanContextCancel(t *testing.T) {
 // and fails every exchange on a dead context — a deterministic mid-sweep
 // SIGINT.
 type cancelOnFirstExchanger struct {
-	inner  dnsserver.Exchanger
+	inner  exchange.Exchanger
 	cancel context.CancelFunc
 	once   sync.Once
 }

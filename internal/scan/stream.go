@@ -1,26 +1,17 @@
 package scan
 
-import (
-	"context"
-
-	"securepki.org/registrarsec/internal/dataset"
-	"securepki.org/registrarsec/internal/simtime"
-)
+import "context"
 
 // The streaming scan pipeline: at full-`.com` scale neither the target
 // list nor a day's snapshot fits in RAM, so the sweep walks a random-access
 // target cursor in fixed-size chunks, materializes each chunk's DNS lazily,
 // scans it with the ordinary engine, and flushes the chunk's canonicalized
-// records through a sink before touching the next chunk. Because every
-// per-target outcome is a pure function of the zone data and the fault
-// schedule (see the package determinism contract, and faultnet's
-// per-question fault hashing), the concatenation of chunk results is
-// record-identical to a whole-day ScanDay over the same targets — which is
-// what makes the legacy path usable as the equivalence oracle.
-
-// DefaultChunk is the streaming chunk size when none is configured:
-// targets per materialize+scan+flush unit.
-const DefaultChunk = 4096
+// records before touching the next chunk. Because every per-target outcome
+// is a pure function of the zone data and the fault schedule (see the
+// package determinism contract, and faultnet's per-question fault hashing),
+// the sorted union of chunk results is record-identical to one whole-day
+// ScanDay over the same targets — which is what makes that whole-day scan
+// usable as the equivalence oracle in tests.
 
 // TargetSource is a random-access cursor over a day's scan targets. It is
 // the streaming replacement for []Target: implementations index straight
@@ -64,70 +55,6 @@ func CollectTargets(src TargetSource, lo, hi int, dst []Target) []Target {
 // signing cost by the chunk size instead of the day.
 type ChunkPrepare func(ctx context.Context, lo, hi int) error
 
-// ChunkSink receives each completed chunk: its canonicalized snapshot and
-// its health report. The snapshot is not retained by the scanner — the
-// sink owns it.
-type ChunkSink func(chunk int, snap *dataset.Snapshot, h *SweepHealth) error
-
-// StreamOptions configures ScanDayStream.
-type StreamOptions struct {
-	// Chunk is the targets-per-chunk size (default DefaultChunk).
-	Chunk int
-	// Prepare, when set, is called for each chunk's span before scanning.
-	Prepare ChunkPrepare
-}
-
-// chunkSize returns the effective chunk size.
-func (o *StreamOptions) chunkSize() int {
-	if o.Chunk <= 0 {
-		return DefaultChunk
-	}
-	return o.Chunk
-}
-
-// ScanDayStream sweeps the cursor's targets in chunks, flushing each
-// chunk's canonicalized snapshot through sink as it completes, and returns
-// the day's aggregated health. Peak memory is bounded by the chunk size
-// (plus whatever the sink retains) rather than the day: no full target
-// slice, no full day snapshot.
-//
-// The SweepHealth ledger stays exact under chunking: each chunk's ScanDay
-// balances Targets == Measured + Unregistered + skipped + failed, and
-// every counter in the report is commutative under Merge, so the returned
-// aggregate balances too — including after a mid-day cancellation, where
-// chunks never started simply do not enter the ledger (exactly like the
-// shards a cancelled legacy sweep never reached).
-func (s *Scanner) ScanDayStream(ctx context.Context, day simtime.Day, src TargetSource, opts StreamOptions, sink ChunkSink) (*SweepHealth, error) {
-	chunk := opts.chunkSize()
-	n := src.Len()
-	total := &SweepHealth{Day: day, ByClass: make(map[FailClass]int)}
-	buf := make([]Target, 0, chunk)
-	for c, lo := 0, 0; lo < n; c, lo = c+1, lo+chunk {
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		if opts.Prepare != nil {
-			if err := opts.Prepare(ctx, lo, hi); err != nil {
-				return total, err
-			}
-		}
-		buf = CollectTargets(src, lo, hi, buf)
-		snap, h, err := s.ScanDay(ctx, day, buf)
-		total.Merge(h)
-		if err != nil {
-			return total, err
-		}
-		snap.Canonicalize()
-		if sink != nil {
-			if err := sink(c, snap, h); err != nil {
-				return total, err
-			}
-		}
-	}
-	return total, nil
-}
-
 // Span is a half-open index range [Lo, Hi) over a TargetSource.
 type Span struct{ Lo, Hi int }
 
@@ -135,9 +62,9 @@ type Span struct{ Lo, Hi int }
 func (s Span) Len() int { return s.Hi - s.Lo }
 
 // ShardBounds partitions n cursor positions into contiguous shard spans
-// with exactly the boundaries ShardSplit produces on a materialized slice
-// of length n — the property that lets a streaming resume interoperate
-// with shard indices computed anywhere else in the pipeline.
+// (the first n%shards spans get one extra position). The split is a pure
+// function of n and the shard count, so an interrupted run, its resume,
+// and every worker of a distributed sweep agree on every shard boundary.
 func ShardBounds(n, shards int) []Span {
 	if shards > n && n > 0 {
 		shards = n

@@ -5,8 +5,6 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"os"
-	"path/filepath"
 	"reflect"
 	"sort"
 	"strings"
@@ -14,25 +12,10 @@ import (
 
 	"securepki.org/registrarsec/internal/checkpoint"
 	"securepki.org/registrarsec/internal/dataset"
-	"securepki.org/registrarsec/internal/dnsserver"
-	"securepki.org/registrarsec/internal/dnstest"
+	"securepki.org/registrarsec/internal/exchange"
 	"securepki.org/registrarsec/internal/scan"
 	"securepki.org/registrarsec/internal/simtime"
 )
-
-// streamSweepSetup adapts sweepSetup's environment to the streaming
-// interface: same scanner, the target list behind a cursor, no per-chunk
-// prepare (the in-memory world serves every domain already).
-func streamSweepSetup(t *testing.T, eco *dnstest.Ecosystem, targets []scan.Target, wrap func(dnsserver.Exchanger) dnsserver.Exchanger) scan.StreamDaySetup {
-	inner := sweepSetup(t, eco, targets, wrap)
-	return func(ctx context.Context, day simtime.Day) (*scan.Scanner, scan.TargetSource, scan.ChunkPrepare, error) {
-		s, ts, err := inner(ctx, day)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		return s, scan.SliceTargets(ts), nil, nil
-	}
-}
 
 // healthKey reduces a SweepHealth to an order-insensitive canonical form.
 func healthKey(h *scan.SweepHealth) string {
@@ -55,55 +38,51 @@ func healthKey(h *scan.SweepHealth) string {
 		strings.Join(fails, ","), strings.Join(skipped, ","), h.Retries)
 }
 
-func TestScanDayStreamMatchesWholeDay(t *testing.T) {
+// TestRunStreamChunksMatchWholeDay sweeps one shard at several chunk
+// sizes, including 0 (one chunk per shard) and sizes larger than the day:
+// the archive must match the whole-day oracle byte for byte, the day's
+// health must equal the whole-day scan's, and the checkpoint must record
+// the expected chunk geometry.
+func TestRunStreamChunksMatchWholeDay(t *testing.T) {
 	eco, targets := buildWorld(t)
 	day := eco.Clock.Day()
-
-	whole := newScanner(t, eco, 3)
-	wantSnap, wantHealth, err := whole.ScanDay(context.Background(), day, targets)
+	days := []simtime.Day{day}
+	want := wholeDayArchive(t, eco, targets, days)
+	_, wantHealth, err := newScanner(t, eco, 3).ScanDay(context.Background(), day, targets)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantSnap.Canonicalize()
-	var want bytes.Buffer
-	if err := wantSnap.WriteArchiveSection(&want); err != nil {
-		t.Fatal(err)
-	}
 
-	for _, chunk := range []int{1, 2, 3, len(targets), len(targets) + 50} {
-		s := newScanner(t, eco, 3)
-		got := &dataset.Snapshot{Day: day}
-		var chunkHealths []*scan.SweepHealth
-		h, err := s.ScanDayStream(context.Background(), day, scan.SliceTargets(targets),
-			scan.StreamOptions{Chunk: chunk},
-			func(c int, snap *dataset.Snapshot, ch *scan.SweepHealth) error {
-				got.Records = append(got.Records, snap.Records...)
-				if !ch.Balanced() {
-					t.Errorf("chunk=%d: chunk %d health unbalanced: %s", chunk, c, ch)
-				}
-				chunkHealths = append(chunkHealths, ch)
-				return nil
-			})
+	for _, chunk := range []int{0, 1, 2, 3, len(targets), len(targets) + 50} {
+		cp, err := checkpoint.Open(t.TempDir())
 		if err != nil {
-			t.Fatalf("chunk=%d: %v", chunk, err)
+			t.Fatal(err)
+		}
+		var h *scan.SweepHealth
+		rs := &scan.ResumableSweep{
+			Checkpoint: cp, Fingerprint: "chunks", Shards: 1, Chunk: chunk,
+			StreamSetup: sweepSetup(t, eco, targets, nil),
+			OnDayHealth: func(_ simtime.Day, dh *scan.SweepHealth) { h = dh },
+		}
+		if got := archiveViaStream(t, rs, days); !bytes.Equal(want, got) {
+			t.Errorf("chunk=%d: streamed records differ from whole-day scan", chunk)
 		}
 		if !h.Balanced() {
 			t.Errorf("chunk=%d: aggregate health unbalanced: %s", chunk, h)
 		}
-		got.Canonicalize()
-		var gotBuf bytes.Buffer
-		if err := got.WriteArchiveSection(&gotBuf); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(want.Bytes(), gotBuf.Bytes()) {
-			t.Errorf("chunk=%d: streamed records differ from whole-day scan", chunk)
-		}
 		if gk, wk := healthKey(h), healthKey(wantHealth); gk != wk {
 			t.Errorf("chunk=%d: aggregate health differs\n got %s\nwant %s", chunk, gk, wk)
 		}
-		wantChunks := (len(targets) + chunk - 1) / chunk
-		if len(chunkHealths) != wantChunks {
-			t.Errorf("chunk=%d: sink called %d times, want %d", chunk, len(chunkHealths), wantChunks)
+		st, err := cp.Load()
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantSize, wantChunks := len(targets), 1
+		if chunk > 0 {
+			wantSize, wantChunks = chunk, (len(targets)+chunk-1)/chunk
+		}
+		if cp := st.Day(day).Partial[0]; cp.Chunk != wantSize || cp.Chunks != wantChunks {
+			t.Errorf("chunk=%d: shard cut into %d chunks of %d, want %d of %d", chunk, cp.Chunks, cp.Chunk, wantChunks, wantSize)
 		}
 	}
 }
@@ -128,13 +107,12 @@ func TestStreamHealthMergeProperty(t *testing.T) {
 		}
 		s := newScanner(t, eco, 3)
 		var parts []*scan.SweepHealth
-		if _, err := s.ScanDayStream(context.Background(), day, scan.SliceTargets(targets),
-			scan.StreamOptions{Chunk: chunk},
-			func(c int, snap *dataset.Snapshot, h *scan.SweepHealth) error {
-				parts = append(parts, h)
-				return nil
-			}); err != nil {
-			t.Fatalf("chunk=%d: %v", chunk, err)
+		for lo := 0; lo < len(targets); lo += chunk {
+			_, h, err := s.ScanDay(context.Background(), day, targets[lo:min(lo+chunk, len(targets))])
+			if err != nil {
+				t.Fatalf("chunk=%d: %v", chunk, err)
+			}
+			parts = append(parts, h)
 		}
 
 		// Merge the chunk reports in a few random orders; every order must
@@ -162,59 +140,16 @@ func TestStreamHealthMergeProperty(t *testing.T) {
 	}
 }
 
-// canonicalArchive renders a store as an archive with every day section
-// fully canonicalized — the equivalence oracle RunStream's merged sections
-// must match byte for byte. (Legacy Run returns days as concatenations of
-// canonicalized shards; the global per-day sort is the canonical form.)
-func canonicalArchive(t *testing.T, store *dataset.Store) []byte {
-	t.Helper()
-	for _, day := range store.Days() {
-		store.Get(day).Canonicalize()
-	}
-	var buf bytes.Buffer
-	if err := store.WriteArchive(&buf); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
-}
-
-// archiveViaStream runs a streaming sweep into an on-disk archive and
-// returns the file bytes.
-func archiveViaStream(t *testing.T, rs *scan.ResumableSweep, days []simtime.Day) []byte {
-	t.Helper()
-	path := filepath.Join(t.TempDir(), "stream.tsv")
-	aw, err := dataset.NewArchiveWriter(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := rs.RunStream(context.Background(), days, func(day simtime.Day, sw *dataset.SpillWriter) error {
-		return aw.Section(sw)
-	}); err != nil {
-		aw.Abort()
-		t.Fatal(err)
-	}
-	if err := aw.Close(); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return data
-}
-
+// TestRunStreamByteIdenticalToLegacy compares every shard/chunk/spill
+// geometry strictly against the whole-day oracle (one ScanDay over all
+// targets, canonicalized): no geometry may change a byte of the archive.
 func TestRunStreamByteIdenticalToLegacy(t *testing.T) {
 	eco, targets := buildWorld(t)
 	days := []simtime.Day{eco.Clock.Day(), eco.Clock.Day() + 1}
 
-	legacy := &scan.ResumableSweep{Shards: 3, Setup: sweepSetup(t, eco, targets, nil)}
-	store, err := legacy.Run(context.Background(), days)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := canonicalArchive(t, store)
+	want := wholeDayArchive(t, eco, targets, days)
 
-	for _, chunk := range []int{1, 3, len(targets) + 9} {
+	for _, chunk := range []int{0, 1, 3, len(targets) + 9} {
 		for _, budget := range []int64{1, 1 << 20} {
 			cp, err := checkpoint.Open(t.TempDir())
 			if err != nil {
@@ -227,12 +162,12 @@ func TestRunStreamByteIdenticalToLegacy(t *testing.T) {
 				Shards:      3,
 				Chunk:       chunk,
 				Spill:       dataset.SpillOptions{Dir: t.TempDir(), MemBudget: budget},
-				StreamSetup: streamSweepSetup(t, eco, targets, nil),
+				StreamSetup: sweepSetup(t, eco, targets, nil),
 				OnDayHealth: func(d simtime.Day, h *scan.SweepHealth) { healths = append(healths, h) },
 			}
 			got := archiveViaStream(t, rs, days)
 			if !bytes.Equal(want, got) {
-				t.Errorf("chunk=%d budget=%d: streaming archive differs from legacy run", chunk, budget)
+				t.Errorf("chunk=%d budget=%d: streaming archive differs from the whole-day oracle", chunk, budget)
 			}
 			if len(healths) != len(days) {
 				t.Fatalf("chunk=%d: %d day healths, want %d", chunk, len(healths), len(days))
@@ -250,18 +185,13 @@ func TestRunStreamKillResume(t *testing.T) {
 	eco, targets := buildWorld(t)
 	days := []simtime.Day{eco.Clock.Day(), eco.Clock.Day() + 1}
 
-	legacy := &scan.ResumableSweep{Shards: 3, Setup: sweepSetup(t, eco, targets, nil)}
-	store, err := legacy.Run(context.Background(), days)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := canonicalArchive(t, store)
+	want := wholeDayArchive(t, eco, targets, days)
 
 	// Calibrate the kill point to ~60% of one day's exchanges so several
 	// chunks land before the cut.
 	counter := &cancelAtExchanger{inner: eco.Net, at: -1}
 	probe := &scan.ResumableSweep{Shards: 3, Chunk: 2,
-		StreamSetup: streamSweepSetup(t, eco, targets, func(ex dnsserver.Exchanger) dnsserver.Exchanger {
+		StreamSetup: sweepSetup(t, eco, targets, func(ex exchange.Exchanger) exchange.Exchanger {
 			counter.inner = ex
 			return counter
 		})}
@@ -287,7 +217,7 @@ func TestRunStreamKillResume(t *testing.T) {
 		Fingerprint: "stream-drill",
 		Shards:      3,
 		Chunk:       2,
-		StreamSetup: streamSweepSetup(t, eco, targets, func(ex dnsserver.Exchanger) dnsserver.Exchanger {
+		StreamSetup: sweepSetup(t, eco, targets, func(ex exchange.Exchanger) exchange.Exchanger {
 			killer.inner = ex
 			return killer
 		}),
@@ -318,12 +248,12 @@ func TestRunStreamKillResume(t *testing.T) {
 		Fingerprint: "stream-drill",
 		Shards:      3,
 		Chunk:       2,
-		StreamSetup: streamSweepSetup(t, eco, targets, nil),
+		StreamSetup: sweepSetup(t, eco, targets, nil),
 		OnEvent:     func(f string, a ...any) { events = append(events, fmt.Sprintf(f, a...)) },
 	}
 	got := archiveViaStream(t, resumed, days)
 	if !bytes.Equal(want, got) {
-		t.Errorf("resumed streaming archive differs from uninterrupted legacy run:\n--- want\n%s\n--- got\n%s", want, got)
+		t.Errorf("resumed streaming archive differs from the whole-day oracle:\n--- want\n%s\n--- got\n%s", want, got)
 	}
 	chunkVerified := false
 	for _, e := range events {
@@ -357,7 +287,7 @@ func TestRunStreamChunkGeometryGuard(t *testing.T) {
 	killer := &cancelAtExchanger{cancel: cancel, at: 25}
 	first := &scan.ResumableSweep{
 		Checkpoint: cp, Fingerprint: "geom", Shards: 2, Chunk: 2,
-		StreamSetup: streamSweepSetup(t, eco, targets, func(ex dnsserver.Exchanger) dnsserver.Exchanger {
+		StreamSetup: sweepSetup(t, eco, targets, func(ex exchange.Exchanger) exchange.Exchanger {
 			killer.inner = ex
 			return killer
 		}),
@@ -382,7 +312,7 @@ func TestRunStreamChunkGeometryGuard(t *testing.T) {
 	// Resuming with a different chunk size must be refused.
 	second := &scan.ResumableSweep{
 		Checkpoint: cp, Fingerprint: "geom", Shards: 2, Chunk: 5,
-		StreamSetup: streamSweepSetup(t, eco, targets, nil),
+		StreamSetup: sweepSetup(t, eco, targets, nil),
 	}
 	err = second.RunStream(context.Background(), []simtime.Day{day}, nil)
 	if err == nil || !strings.Contains(err.Error(), "chunked as") {
@@ -399,7 +329,7 @@ func TestShardBoundsMatchShardSplit(t *testing.T) {
 		for i := range targets {
 			targets[i] = scan.Target{Domain: fmt.Sprintf("d%d.com", i), TLD: "com"}
 		}
-		parts := scan.ShardSplit(targets, shards)
+		parts := shardSplit(targets, shards)
 		spans := scan.ShardBounds(n, shards)
 		if len(parts) != len(spans) {
 			t.Fatalf("n=%d shards=%d: %d parts vs %d spans", n, shards, len(parts), len(spans))
@@ -416,4 +346,27 @@ func TestShardBoundsMatchShardSplit(t *testing.T) {
 			t.Fatalf("CollectTargets round trip failed at n=%d", n)
 		}
 	}
+}
+
+// shardSplit is the slice-shaped shard partition ShardBounds must agree
+// with: n contiguous shards, the first len(targets)%n one element longer.
+func shardSplit(targets []scan.Target, n int) [][]scan.Target {
+	if n > len(targets) && len(targets) > 0 {
+		n = len(targets)
+	}
+	if n <= 0 {
+		n = 1
+	}
+	parts := make([][]scan.Target, 0, n)
+	size, rem := len(targets)/n, len(targets)%n
+	start := 0
+	for i := 0; i < n; i++ {
+		end := start + size
+		if i < rem {
+			end++
+		}
+		parts = append(parts, targets[start:end])
+		start = end
+	}
+	return parts
 }

@@ -14,23 +14,6 @@ import (
 // materialized day so the resilient scan path can be exercised — and its
 // failure accounting verified — against a known fault schedule.
 
-// LossyOperators deterministically picks frac of the distinct DNS
-// operators appearing in domains and returns faultnet rules injecting
-// packet loss on each of their nameservers, plus the chosen operator
-// names (sorted). The selection is seeded, so the same inputs always
-// produce the same flaky set.
-func LossyOperators(domains []DomainState, frac, loss float64, seed int64) ([]faultnet.Rule, []string) {
-	seen := map[string]bool{}
-	var operators []string
-	for i := range domains {
-		if op := domains[i].Operator; !seen[op] {
-			seen[op] = true
-			operators = append(operators, op)
-		}
-	}
-	return lossyFromOperators(operators, frac, loss, seed)
-}
-
 // OperatorOutage declares a dark window for one operator's nameserver: it
 // times out on every simulated day in [from, to].
 func OperatorOutage(operator string, from, to simtime.Day) faultnet.Rule {

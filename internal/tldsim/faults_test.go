@@ -195,3 +195,18 @@ func TestOperatorOutageSurfacesAsFailedRecords(t *testing.T) {
 		}
 	}
 }
+
+// LossyOperators is the slice-shaped oracle for LossyOperatorsSource:
+// the distinct operators of domains in first-occurrence order, put through
+// the same seeded selection.
+func LossyOperators(domains []DomainState, frac, loss float64, seed int64) ([]faultnet.Rule, []string) {
+	seen := map[string]bool{}
+	var operators []string
+	for i := range domains {
+		if op := domains[i].Operator; !seen[op] {
+			seen[op] = true
+			operators = append(operators, op)
+		}
+	}
+	return lossyFromOperators(operators, frac, loss, seed)
+}

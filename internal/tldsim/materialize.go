@@ -272,7 +272,8 @@ func tldServerName(tld string) string { return "ns1." + tld + "-registry.example
 // itself is the memory problem, so production sweeps hold the cursor from
 // SampleSource instead and never materialize the draw.
 func (w *World) Sample(n int, seed int64) []DomainState {
-	return Domains(w.SampleSource(n, seed))
+	src := w.SampleSource(n, seed)
+	return CollectDomains(src, 0, src.Len(), make([]DomainState, 0, src.Len()))
 }
 
 // BuildAgents constructs live registrar agents for the whole catalogue on

@@ -83,16 +83,6 @@ func (w *World) SampleSource(n int, seed int64) DomainSource {
 	return &sampleSource{w: w, idx: idx}
 }
 
-// Domains materializes a cursor as a slice — the bridge back to the
-// slice-shaped APIs for tests and small worlds.
-func Domains(src DomainSource) []DomainState {
-	out := make([]DomainState, 0, src.Len())
-	for i := 0; i < src.Len(); i++ {
-		out = append(out, src.DomainAt(i))
-	}
-	return out
-}
-
 // CollectDomains materializes the cursor span [lo, hi) into dst (reused if
 // it has capacity). Intended for chunk-sized spans only.
 func CollectDomains(src DomainSource, lo, hi int, dst []DomainState) []DomainState {
@@ -254,10 +244,12 @@ func (m *StreamMaterializer) Exchange(ctx context.Context, server string, q *dns
 	return net.Exchange(ctx, server, q)
 }
 
-// LossyOperatorsSource is LossyOperators over a cursor: it walks the
-// population once to collect distinct operators, then makes the identical
-// seeded selection. A slice-backed cursor yields exactly the rules
-// LossyOperators yields for the slice.
+// LossyOperatorsSource deterministically picks frac of the distinct DNS
+// operators appearing in the cursor and returns faultnet rules injecting
+// packet loss on each of their nameservers, plus the chosen operator
+// names (sorted). It walks the population once to collect the distinct
+// operators; the selection is seeded, so the same inputs always produce
+// the same flaky set.
 func LossyOperatorsSource(src DomainSource, frac, loss float64, seed int64) ([]faultnet.Rule, []string) {
 	seen := map[string]bool{}
 	var operators []string

@@ -351,3 +351,13 @@ func typeCounts(m *dnswire.Message) map[dnswire.Type]int {
 	}
 	return out
 }
+
+// Domains materializes a whole cursor as a slice, for the slice-shaped
+// oracles.
+func Domains(src DomainSource) []DomainState {
+	out := make([]DomainState, 0, src.Len())
+	for i := 0; i < src.Len(); i++ {
+		out = append(out, src.DomainAt(i))
+	}
+	return out
+}

@@ -340,11 +340,21 @@ func (s *Study) ScanLongitudinal(ctx context.Context, cfg LongitudinalConfig) (*
 		Checkpoint:  cp,
 		Fingerprint: longitudinalFingerprint(&cfg),
 		Shards:      cfg.Shards,
-		Setup:       mkSetup(),
+		StreamSetup: mkSetup(),
 		OnDayHealth: cfg.OnDayHealth,
 		OnEvent:     cfg.OnEvent,
 	}
-	return rs.Run(ctx, cfg.Days)
+	store := dataset.NewStore()
+	err = rs.RunStream(ctx, cfg.Days, func(day Day, sw *dataset.SpillWriter) error {
+		snap := &dataset.Snapshot{Day: day, Records: make([]dataset.Record, 0, sw.Len())}
+		err := sw.EachSorted(func(r *dataset.Record) error {
+			snap.Records = append(snap.Records, *r)
+			return nil
+		})
+		store.Add(snap)
+		return err
+	})
+	return store, err
 }
 
 // longitudinalFingerprint binds checkpoint state to the sweep configuration.
@@ -354,11 +364,12 @@ func longitudinalFingerprint(cfg *LongitudinalConfig) string {
 }
 
 // longitudinalSetup validates and defaults the configuration, draws the
-// sweep's fixed domain sample, and returns a factory of per-worker
-// DaySetups: each call yields an independent setup closure over the same
+// sweep's fixed domain sample, and returns a factory of per-worker day
+// setups: each call yields an independent setup closure over the same
 // sample, so concurrent distributed workers never share a scanner or an
-// exchange stack.
-func (s *Study) longitudinalSetup(cfg *LongitudinalConfig) (func() scan.DaySetup, error) {
+// exchange stack. Each day materializes the whole sample once and serves
+// the fixed target slice with no per-chunk prepare.
+func (s *Study) longitudinalSetup(cfg *LongitudinalConfig) (func() scan.StreamDaySetup, error) {
 	if s.World == nil {
 		return nil, fmt.Errorf("study: a longitudinal sweep requires a world (Options.SkipWorld unset)")
 	}
@@ -372,14 +383,18 @@ func (s *Study) longitudinalSetup(cfg *LongitudinalConfig) (func() scan.DaySetup
 		cfg.Shards = 4
 	}
 	sample := s.World.Sample(cfg.Sample, cfg.SampleSeed)
+	targets := make([]scan.Target, 0, len(sample))
+	for _, d := range sample {
+		targets = append(targets, scan.Target{Domain: d.Name, TLD: d.TLD})
+	}
 	rules := cfg.Rules
 	faultSeed := cfg.FaultSeed
 	workers := cfg.Workers
-	mk := func() scan.DaySetup {
-		return func(ctx context.Context, day Day) (*scan.Scanner, []scan.Target, error) {
+	mk := func() scan.StreamDaySetup {
+		return func(ctx context.Context, day Day) (*scan.Scanner, scan.TargetSource, scan.ChunkPrepare, error) {
 			mat, err := tldsim.Materialize(day, sample)
 			if err != nil {
-				return nil, nil, err
+				return nil, nil, nil, err
 			}
 			var mw []exchange.Middleware
 			if len(rules) > 0 {
@@ -394,13 +409,9 @@ func (s *Study) longitudinalSetup(cfg *LongitudinalConfig) (func() scan.DaySetup
 				Clock:      func() simtime.Day { return day },
 			})
 			if err != nil {
-				return nil, nil, err
+				return nil, nil, nil, err
 			}
-			targets := make([]scan.Target, 0, len(sample))
-			for _, d := range sample {
-				targets = append(targets, scan.Target{Domain: d.Name, TLD: d.TLD})
-			}
-			return scanner, targets, nil
+			return scanner, scan.SliceTargets(targets), nil, nil
 		}
 	}
 	return mk, nil
@@ -451,8 +462,8 @@ func (s *Study) ScanDistributed(ctx context.Context, cfg DistributedConfig) (*Ar
 	workers := make([]dsweep.WorkerSpec, 0, cfg.Fleet)
 	for i := 0; i < cfg.Fleet; i++ {
 		workers = append(workers, dsweep.WorkerSpec{
-			Name:  fmt.Sprintf("w%02d", i+1),
-			Setup: mkSetup(),
+			Name:        fmt.Sprintf("w%02d", i+1),
+			StreamSetup: mkSetup(),
 		})
 	}
 	store, res, err := dsweep.RunLocal(ctx, dsweep.LocalConfig{

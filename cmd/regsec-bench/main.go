@@ -1,9 +1,8 @@
-// Command regsec-bench measures the columnar analytics engine against the
-// legacy record-materializing path over a generated world and writes the
-// BENCH_colstore.json baseline, so the engine's trajectory is tracked
-// across PRs. It also benchmarks the DNS exchange stack — repeated scans
-// through the cache+dedup middleware versus the bare retry path — and
-// writes BENCH_exchange.json. CI runs both on every push and archives the
+// Command regsec-bench measures the columnar analytics engine over a
+// generated world and writes the BENCH_colstore.json baseline, so the
+// engine's trajectory is tracked across PRs. It also benchmarks the DNS
+// exchange stack — repeated scans through the cache+dedup middleware
+// versus the bare retry path — and writes BENCH_exchange.json. CI runs both on every push and archives the
 // JSON files as artifacts.
 //
 // Usage:
@@ -15,9 +14,12 @@
 //	             [-sweepscale-o BENCH_sweepscale.json] [-sweepscale-divisors 400,40] [-sweepscale-sample 120000]
 //	             [-api-o BENCH_api.json] [-api-days 6] [-api-domains 3000] [-api-readers 8] [-api-requests 4000]
 //
-// Each analytics workload is benchmarked in its colstore and legacy
-// variants via testing.Benchmark; the emitted file carries ns/op,
-// allocs/op, B/op and the legacy/colstore speedup per workload. With
+// Each analytics workload is benchmarked via testing.Benchmark. The
+// OperatorCDF and Overview workloads run in two variants: "/colstore"
+// counts over the dense ID columns, "/legacy" runs the map-based
+// internal/analysis functions (the path regsec-report uses) over a
+// materialized snapshot. The emitted file carries ns/op, allocs/op, B/op
+// and the legacy/colstore speedup per paired workload. With
 // -compare the run is also diffed against a previous baseline and
 // regressions are reported (exit 1 when a workload slowed by more than 2x,
 // so CI can gate on it).
@@ -36,10 +38,9 @@
 // The worldscale section (enabled with -worldscale-o) measures the
 // streaming sharded world build at each -worldscale-divisors population,
 // saves the world to disk, re-loads it, and drives the full 21-month
-// snapshot+series+Table 1 workload from the re-loaded world. Where the
-// population is small enough it also runs the legacy materialized build
-// and gates on the streaming build allocating strictly less (exit 1
-// otherwise).
+// snapshot+series+Table 1 workload from the re-loaded world. At the
+// divisors with a committed bound (seed 1) it gates on the build's
+// allocation bytes staying under that bound (exit 1 otherwise).
 //
 // The sweepscale section (enabled with -sweepscale-o) runs the same sweep
 // through ResumableSweep.RunStream with one chunk per shard and with
@@ -118,11 +119,8 @@ func run() int {
 	serveMaxAllocs := flag.Int64("serve-max-allocs", 2, "maximum allocations per warm cache-hit query (exit 1 above it)")
 	flag.Parse()
 
-	// The legacy materialized build: its []DomainState is what the
-	// */legacy workloads below iterate, so the speedup numbers compare the
-	// columnar engine against the true record-at-a-time path.
 	fmt.Fprintf(os.Stderr, "building world (scale 1/%.0f, seed %d)...\n", *scaleDiv, *seed)
-	world, err := tldsim.BuildLegacy(tldsim.WorldConfig{Scale: 1 / *scaleDiv, Seed: *seed})
+	world, err := tldsim.Build(tldsim.WorldConfig{Scale: 1 / *scaleDiv, Seed: *seed})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return 1
@@ -130,9 +128,9 @@ func run() int {
 	idx := world.Index()
 	fmt.Fprintf(os.Stderr, "population: %d domains, %d operators\n", idx.Len(), idx.Operators())
 
-	// One legacy snapshot for the aggregation oracles, built outside the
-	// timed regions.
-	legacySnap := world.SnapshotAtLegacy(simtime.End)
+	// One materialized snapshot for the internal/analysis arms, built
+	// outside the timed regions.
+	snap := world.SnapshotAt(simtime.End)
 	inGTLD := func(r *dataset.Record) bool {
 		return r.TLD == "com" || r.TLD == "net" || r.TLD == "org"
 	}
@@ -149,23 +147,9 @@ func run() int {
 				}
 			}
 		}},
-		{"SnapshotAt/legacy", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if snap := world.SnapshotAtLegacy(simtime.End); len(snap.Records) == 0 {
-					b.Fatal("empty")
-				}
-			}
-		}},
 		{"SeriesOVH/colstore", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if pts := world.SeriesFor("ovh.net", "", simtime.GTLDStart, simtime.End, 1); len(pts) == 0 {
-					b.Fatal("empty")
-				}
-			}
-		}},
-		{"SeriesOVH/legacy", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if pts := world.SeriesForLegacy("ovh.net", "", simtime.GTLDStart, simtime.End, 1); len(pts) == 0 {
 					b.Fatal("empty")
 				}
 			}
@@ -179,7 +163,7 @@ func run() int {
 		}},
 		{"OperatorCDF/legacy", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if cdf := analysis.OperatorCDF(legacySnap, inGTLD); len(cdf) == 0 {
+				if cdf := analysis.OperatorCDF(snap, inGTLD); len(cdf) == 0 {
 					b.Fatal("empty")
 				}
 			}
@@ -193,7 +177,7 @@ func run() int {
 		}},
 		{"Overview/legacy", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if ov := analysis.Overview(legacySnap, tldsim.AllTLDs); len(ov) == 0 {
+				if ov := analysis.Overview(snap, tldsim.AllTLDs); len(ov) == 0 {
 					b.Fatal("empty")
 				}
 			}

@@ -30,11 +30,14 @@ type serveBenchConfig struct {
 
 // serveBaseline is the BENCH_serve.json schema. The handler section is the
 // in-process request path with the network removed — the seed path
-// (Unpack → ServeDNS → Pack) against the warm wire fast path — which is
-// what the speedup and allocation gates run on, because it is deterministic
-// on shared CI runners. The loopback sections drive real sockets with
-// regsec-loadgen: closed-loop sustainable QPS for both server paths, and
-// an open-loop run at a fixed offered rate for honest latency percentiles.
+// (Unpack → Authoritative.ServeDNS → Pack, the handler the sweep's MemNet
+// serves through) against the warm wire fast path — which is what the
+// speedup and allocation gates run on, because it is deterministic on
+// shared CI runners. The loopback sections drive real sockets with
+// regsec-loadgen through the one pooled UDP loop: closed-loop sustainable
+// QPS with the Authoritative handler (every query on the slow path) and
+// with the Sharded handler (warm wire cache), and an open-loop run at a
+// fixed offered rate for honest latency percentiles.
 type serveBaseline struct {
 	Schema       string  `json:"schema"`
 	GoMaxProcs   int     `json:"gomaxprocs"`
@@ -43,15 +46,15 @@ type serveBaseline struct {
 	Sample       int     `json:"sample"`
 	QueryMix     int     `json:"query_mix"`
 
-	LegacyNsPerOp    float64 `json:"legacy_ns_per_op"`
-	LegacyAllocs     int64   `json:"legacy_allocs_per_op"`
+	SeedNsPerOp      float64 `json:"seed_ns_per_op"`
+	SeedAllocs       int64   `json:"seed_allocs_per_op"`
 	FastNsPerOp      float64 `json:"fast_ns_per_op"`
 	FastAllocs       int64   `json:"fast_allocs_per_op"`
 	HandlerSpeedup   float64 `json:"handler_speedup"`
 	MinSpeedup       float64 `json:"min_speedup"`
 	MaxAllocsAllowed int64   `json:"max_allocs_allowed"`
 
-	LegacyLoop loadgen.Result        `json:"legacy_closed_loop"`
+	SeedLoop   loadgen.Result        `json:"seed_closed_loop"`
 	ServerLoop loadgen.Result        `json:"server_closed_loop"`
 	LoopbackX  float64               `json:"loopback_speedup"`
 	OpenLoop   loadgen.Result        `json:"open_loop"`
@@ -59,7 +62,7 @@ type serveBaseline struct {
 	Cache      dnsserver.CacheStats  `json:"cache_stats"`
 }
 
-const serveBaselineSchema = "regsec-bench-serve/1"
+const serveBaselineSchema = "regsec-bench-serve/2"
 
 // runServeBench measures the serving hot path and writes BENCH_serve.json.
 // It exits nonzero when the warm fast path is less than MinSpeedup times
@@ -126,7 +129,7 @@ func runServeBench(world *tldsim.World, cfg serveBenchConfig) int {
 	}
 
 	// In-process handler benchmark: seed path vs warm fast path.
-	legacy := testing.Benchmark(func(tb *testing.B) {
+	seed := testing.Benchmark(func(tb *testing.B) {
 		for i := 0; i < tb.N; i++ {
 			pkt := mix[i%len(mix)]
 			var q dnswire.Message
@@ -151,19 +154,20 @@ func runServeBench(world *tldsim.World, cfg serveBenchConfig) int {
 			}
 		}
 	})
-	b.LegacyNsPerOp = float64(legacy.T.Nanoseconds()) / float64(legacy.N)
-	b.LegacyAllocs = legacy.AllocsPerOp()
+	b.SeedNsPerOp = float64(seed.T.Nanoseconds()) / float64(seed.N)
+	b.SeedAllocs = seed.AllocsPerOp()
 	b.FastNsPerOp = float64(fast.T.Nanoseconds()) / float64(fast.N)
 	b.FastAllocs = fast.AllocsPerOp()
 	if b.FastNsPerOp > 0 {
-		b.HandlerSpeedup = b.LegacyNsPerOp / b.FastNsPerOp
+		b.HandlerSpeedup = b.SeedNsPerOp / b.FastNsPerOp
 	}
-	fmt.Fprintf(os.Stderr, "serve bench: handler legacy %.0f ns/op (%d allocs), fast %.0f ns/op (%d allocs), speedup %.1fx\n",
-		b.LegacyNsPerOp, b.LegacyAllocs, b.FastNsPerOp, b.FastAllocs, b.HandlerSpeedup)
+	fmt.Fprintf(os.Stderr, "serve bench: handler seed %.0f ns/op (%d allocs), fast %.0f ns/op (%d allocs), speedup %.1fx\n",
+		b.SeedNsPerOp, b.SeedAllocs, b.FastNsPerOp, b.FastAllocs, b.HandlerSpeedup)
 
-	// Loopback closed-loop: both real-server paths under the same client.
-	runLoop := func(handler dnsserver.Handler, legacyPath bool, mode loadgen.Mode, rate int) (loadgen.Result, *dnsserver.Server, error) {
-		srv := &dnsserver.Server{Handler: handler, Legacy: legacyPath}
+	// Loopback closed-loop: both handlers through the same server loop
+	// under the same client.
+	runLoop := func(handler dnsserver.Handler, mode loadgen.Mode, rate int) (loadgen.Result, *dnsserver.Server, error) {
+		srv := &dnsserver.Server{Handler: handler}
 		if err := srv.ListenAndServe("127.0.0.1:0"); err != nil {
 			return loadgen.Result{}, nil, err
 		}
@@ -180,29 +184,29 @@ func runServeBench(world *tldsim.World, cfg serveBenchConfig) int {
 		return res, srv, err
 	}
 
-	legacyLoop, legacySrv, err := runLoop(auth, true, loadgen.Closed, 0)
+	seedLoop, seedSrv, err := runLoop(auth, loadgen.Closed, 0)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return 1
 	}
-	legacySrv.Close()
-	b.LegacyLoop = legacyLoop
+	seedSrv.Close()
+	b.SeedLoop = seedLoop
 
-	serverLoop, srv, err := runLoop(sharded, false, loadgen.Closed, 0)
+	serverLoop, srv, err := runLoop(sharded, loadgen.Closed, 0)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return 1
 	}
 	srv.Close()
 	b.ServerLoop = serverLoop
-	if legacyLoop.QPS > 0 {
-		b.LoopbackX = serverLoop.QPS / legacyLoop.QPS
+	if seedLoop.QPS > 0 {
+		b.LoopbackX = serverLoop.QPS / seedLoop.QPS
 	}
-	fmt.Fprintf(os.Stderr, "serve bench: loopback closed-loop legacy %.0f qps, server %.0f qps (%.1fx)\n",
-		legacyLoop.QPS, serverLoop.QPS, b.LoopbackX)
+	fmt.Fprintf(os.Stderr, "serve bench: loopback closed-loop seed handler %.0f qps, wire cache %.0f qps (%.1fx)\n",
+		seedLoop.QPS, serverLoop.QPS, b.LoopbackX)
 
 	// Open loop at the configured offered rate for honest percentiles.
-	openLoop, srv, err := runLoop(sharded, false, loadgen.Open, cfg.Rate)
+	openLoop, srv, err := runLoop(sharded, loadgen.Open, cfg.Rate)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return 1

@@ -5,9 +5,8 @@ package main
 // the parallel streaming build (wall-clock, allocation footprint, live
 // heap), saves the world to disk, re-loads it, and drives the full
 // 21-month snapshot + series + Table 1 workload from the re-loaded world
-// — the build-once/load-many lifecycle the world cache uses. Where the
-// population is small enough it also runs the legacy materialized build
-// and gates on the streaming build allocating strictly less.
+// — the build-once/load-many lifecycle the world cache uses. Where a
+// committed bound exists it gates on the build's allocation bytes.
 
 import (
 	"encoding/json"
@@ -29,8 +28,7 @@ type worldscaleBenchConfig struct {
 	OutPath  string
 }
 
-// worldscaleEntry is one divisor's measurements. Legacy fields are zero
-// when the population was too large to materialize record-at-a-time.
+// worldscaleEntry is one divisor's measurements.
 type worldscaleEntry struct {
 	ScaleDivisor float64 `json:"scale_divisor"`
 	Domains      int     `json:"domains"`
@@ -49,10 +47,8 @@ type worldscaleEntry struct {
 	SeriesMs   float64 `json:"series_ms"`
 	Table1Ms   float64 `json:"table1_ms"`
 
-	LegacyBuildMs    float64 `json:"legacy_build_ms,omitempty"`
-	LegacyAllocBytes uint64  `json:"legacy_alloc_bytes,omitempty"`
-	// AllocReduction is legacy/streaming build allocation bytes.
-	AllocReduction float64 `json:"alloc_reduction,omitempty"`
+	// AllocBoundBytes is the gate on BuildAllocBytes (zero: ungated).
+	AllocBoundBytes uint64 `json:"alloc_bound_bytes,omitempty"`
 }
 
 type worldscaleBaseline struct {
@@ -62,12 +58,18 @@ type worldscaleBaseline struct {
 	Entries    []worldscaleEntry `json:"entries"`
 }
 
-const worldscaleBaselineSchema = "regsec-bench-worldscale/1"
+const worldscaleBaselineSchema = "regsec-bench-worldscale/2"
 
-// legacyMaxDomains bounds the populations the legacy comparison runs at:
-// materializing millions of DomainStates is exactly the failure mode the
-// streaming build removes, so the oracle only runs where it fits easily.
-const legacyMaxDomains = 1_000_000
+// worldscaleAllocBounds gate the build's allocation bytes for seed 1, by
+// divisor. Each is what the record-at-a-time materialized build (retired
+// since) allocated at that divisor, the lowest of three runs on a 2-vCPU
+// host at GOMAXPROCS 2; the streaming build measured 63,756,344 B and
+// 125,868,312 B on the same runs. The build must stay strictly below
+// them. Other divisors and seeds are reported ungated.
+var worldscaleAllocBounds = map[float64]uint64{
+	4000: 66_205_112,
+	400:  153_682_128,
+}
 
 func parseDivisors(s string) ([]float64, error) {
 	var out []float64
@@ -178,42 +180,16 @@ func runWorldscaleBench(cfg worldscaleBenchConfig) int {
 			div, entry.SaveMs, float64(entry.FileBytes)/1e6, entry.LoadMs,
 			entry.SnapshotMs, entry.SeriesMs, entry.Table1Ms)
 
-		if entry.Domains <= legacyMaxDomains {
-			// The legacy lifecycle the streaming pipeline replaces:
-			// materialize []DomainState, then copy it all again into the
-			// analytics index.
-			runtime.GC()
-			runtime.ReadMemStats(&m0)
-			start = time.Now()
-			lw, err := tldsim.BuildLegacy(wcfg)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				return 1
-			}
-			lw.Index()
-			entry.LegacyBuildMs = ms(start)
-			runtime.ReadMemStats(&m1)
-			entry.LegacyAllocBytes = allocDelta(&m0, &m1)
-			if lw.Len() != entry.Domains {
-				fmt.Fprintf(os.Stderr, "worldscale 1/%.0f: legacy build has %d domains, streaming %d\n",
-					div, lw.Len(), entry.Domains)
-				return 1
-			}
-			if entry.BuildAllocBytes > 0 {
-				entry.AllocReduction = float64(entry.LegacyAllocBytes) / float64(entry.BuildAllocBytes)
-			}
-			fmt.Fprintf(os.Stderr, "worldscale 1/%.0f: legacy build %.0f ms, %.0f MB allocated (streaming allocates %.2fx less)\n",
-				div, entry.LegacyBuildMs, float64(entry.LegacyAllocBytes)/1e6, entry.AllocReduction)
-			// The gate: the streaming build must allocate strictly less
-			// than the legacy materialized build at the same divisor.
-			if entry.BuildAllocBytes >= entry.LegacyAllocBytes {
-				fmt.Fprintf(os.Stderr, "worldscale 1/%.0f: streaming build allocated %d bytes, not below legacy's %d\n",
-					div, entry.BuildAllocBytes, entry.LegacyAllocBytes)
+		if bound, gated := worldscaleAllocBounds[div]; gated && cfg.Seed == 1 {
+			entry.AllocBoundBytes = bound
+			if entry.BuildAllocBytes >= bound {
+				fmt.Fprintf(os.Stderr, "worldscale 1/%.0f: build allocated %d bytes, not below the %d bound\n",
+					div, entry.BuildAllocBytes, bound)
 				ok = false
+			} else {
+				fmt.Fprintf(os.Stderr, "worldscale 1/%.0f: build allocated %.1f%% of the %d-byte bound\n",
+					div, 100*float64(entry.BuildAllocBytes)/float64(bound), bound)
 			}
-		} else {
-			fmt.Fprintf(os.Stderr, "worldscale 1/%.0f: skipping legacy comparison (%d domains > %d)\n",
-				div, entry.Domains, legacyMaxDomains)
 		}
 		baseline.Entries = append(baseline.Entries, entry)
 	}

@@ -6,7 +6,9 @@
 //
 //	regsec-server -origin example.com -zone example.zone -addr 127.0.0.1:5300 -sign [-drain 5s]
 //
-// With no -zone argument a small demonstration zone is generated. On
+// With no -zone argument a small demonstration zone is generated. -cache -1
+// turns the wire response cache off, so every query takes the full
+// parse/render path (the uncached comparison point for regsec-loadgen). On
 // SIGINT/SIGTERM the server drains: in-flight queries get their answers,
 // new ones are refused, and after the -drain deadline any stragglers are
 // cut off.
@@ -38,7 +40,6 @@ func main() {
 	drain := flag.Duration("drain", 5*time.Second, "grace period for in-flight queries on shutdown")
 	shards := flag.Int("shards", 0, "zone shards (0 = default)")
 	cacheEntries := flag.Int("cache", 0, "wire response cache entries (0 = default, negative disables)")
-	legacy := flag.Bool("legacy", false, "serve through the goroutine-per-packet path with no wire cache")
 	flag.Parse()
 
 	z, err := loadZone(*zonePath, *origin)
@@ -73,21 +74,12 @@ func main() {
 		}
 	}
 
-	var handler dnsserver.Handler
-	var sharded *dnsserver.Sharded
-	if *legacy {
-		auth := dnsserver.NewAuthoritative()
-		auth.AddZone(z)
-		handler = auth
-	} else {
-		sharded = dnsserver.NewSharded(dnsserver.ShardedConfig{
-			ZoneShards:   *shards,
-			CacheEntries: *cacheEntries,
-		})
-		sharded.AddZone(z)
-		handler = sharded
-	}
-	srv := &dnsserver.Server{Handler: handler, Legacy: *legacy}
+	sharded := dnsserver.NewSharded(dnsserver.ShardedConfig{
+		ZoneShards:   *shards,
+		CacheEntries: *cacheEntries,
+	})
+	sharded.AddZone(z)
+	srv := &dnsserver.Server{Handler: sharded}
 	if err := srv.ListenAndServe(*addr); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
@@ -108,11 +100,9 @@ func main() {
 	st := srv.Stats()
 	fmt.Fprintf(os.Stderr, "served %d queries (%d wire-cache hits, %d slow path, %d dropped, %d malformed)\n",
 		st.Queries, st.CacheHits, st.SlowPath, st.Dropped, st.Malformed)
-	if sharded != nil {
-		cs := sharded.CacheStats()
-		fmt.Fprintf(os.Stderr, "wire cache: %d entries, %d fills, %d flushed, %d rejected\n",
-			cs.Entries, cs.Fills, cs.Flushed, cs.Rejected)
-	}
+	cs := sharded.CacheStats()
+	fmt.Fprintf(os.Stderr, "wire cache: %d entries, %d fills, %d flushed, %d rejected\n",
+		cs.Entries, cs.Fills, cs.Flushed, cs.Rejected)
 	fmt.Fprintln(os.Stderr, "all in-flight queries answered; bye")
 }
 

@@ -6,12 +6,12 @@
 // hole in that series.
 //
 // A checkpoint directory holds one JSON state file plus one trailered
-// archive file per completed chunk (and, for distributed sweeps, per
-// completed shard). Every write is durable (temp file + fsync + atomic
-// rename), and every file read back on resume is verified twice: the
-// file's bytes against the CRC32C recorded in the state, and the archive's
-// own per-section trailers. A file that fails either check is reported
-// damaged and re-scanned rather than trusted.
+// archive file per completed chunk (and, for distributed sweeps, one
+// owner-tagged archive per completed shard). Every write is durable (temp
+// file + fsync + atomic rename), and every file read back on resume is
+// verified twice: the file's bytes against the CRC32C recorded in the
+// state, and the archive's own per-section trailers. A file that fails
+// either check is reported damaged and re-scanned rather than trusted.
 package checkpoint
 
 import (
@@ -44,13 +44,10 @@ type Shard struct {
 // DayProgress tracks one day of the sweep.
 type DayProgress struct {
 	// Done is set once every chunk of every shard of the day has been
-	// written.
+	// written. A done day with no Partial progress (the state the retired
+	// whole-day sweep wrote, whose "shards" entries are no longer read) is
+	// re-scanned.
 	Done bool `json:"done"`
-	// Shards maps shard index to a whole-shard archive. ResumableSweep no
-	// longer writes it (its durable unit is the chunk); a state file
-	// written by the retired whole-day sweep carries it, and such a day
-	// has no Partial progress.
-	Shards map[int]*Shard `json:"shards"`
 	// Partial maps shard index to its chunk-granular progress: the durable
 	// unit is a chunk of a shard (the whole shard when the sweep runs one
 	// chunk per shard). A day is Done when every chunk of every shard is
@@ -113,11 +110,8 @@ func (st *State) Day(day simtime.Day) *DayProgress {
 	key := day.String()
 	dp := st.Days[key]
 	if dp == nil {
-		dp = &DayProgress{Shards: make(map[int]*Shard)}
+		dp = &DayProgress{}
 		st.Days[key] = dp
-	}
-	if dp.Shards == nil {
-		dp.Shards = make(map[int]*Shard)
 	}
 	return dp
 }
@@ -175,11 +169,6 @@ func (s *Store) Save(st *State) error {
 	return dataset.WriteFileAtomic(filepath.Join(s.dir, stateFile), append(data, '\n'))
 }
 
-// shardFile names one shard's archive inside the directory.
-func shardFile(day simtime.Day, shard int) string {
-	return fmt.Sprintf("day-%s-shard-%03d.tsv", day, shard)
-}
-
 // shardFileAs names one shard's archive written by a specific owner, so
 // two workers racing on a re-leased shard can never clobber each other's
 // bytes — each completion is its own file, chosen between by checksum.
@@ -205,15 +194,11 @@ func sanitizeOwner(owner string) string {
 	return string(out)
 }
 
-// WriteShard durably writes one completed shard snapshot as a trailered
-// archive and returns its metadata for the state file.
-func (s *Store) WriteShard(day simtime.Day, shard int, snap *dataset.Snapshot) (*Shard, error) {
-	return s.writeShardFile(shardFile(day, shard), snap)
-}
-
-// WriteShardAs is WriteShard under an owner-tagged file name — the variant
-// distributed workers use so duplicate completions of a re-leased shard
-// land in distinct files instead of racing on one.
+// WriteShardAs durably writes one completed shard snapshot as a trailered
+// archive under an owner-tagged file name and returns its metadata for
+// the state file. Distributed workers write shards this way so duplicate
+// completions of a re-leased shard land in distinct files instead of
+// racing on one.
 func (s *Store) WriteShardAs(day simtime.Day, shard int, owner string, snap *dataset.Snapshot) (*Shard, error) {
 	return s.writeShardFile(shardFileAs(day, shard, owner), snap)
 }
@@ -239,18 +224,22 @@ func (s *Store) writeShardFile(name string, snap *dataset.Snapshot) (*Shard, err
 // the recorded CRC and the archive against its own trailers. The returned
 // snapshot carries exactly the records written at checkpoint time; any
 // mismatch is an error so the caller re-scans instead of trusting damage.
-func (s *Store) LoadShard(day simtime.Day, shard int, meta *Shard) (*dataset.Snapshot, error) {
-	name := meta.File
-	if name == "" {
-		name = shardFile(day, shard)
-	}
-	return s.loadVerified(day, name, meta)
+// meta.File may come from a remote worker's completion report, so only a
+// plain file name inside the directory is accepted.
+func (s *Store) LoadShard(day simtime.Day, meta *Shard) (*dataset.Snapshot, error) {
+	return s.loadVerified(day, meta.File, meta)
 }
 
 // loadVerified reads one trailered archive file and verifies it against
 // its state metadata: file bytes against the recorded CRC, the archive
-// against its own trailers, record count against the state.
+// against its own trailers, record count against the state. name must be
+// a plain base name, so no recorded or reported name reaches outside the
+// checkpoint directory.
 func (s *Store) loadVerified(day simtime.Day, name string, meta *Shard) (*dataset.Snapshot, error) {
+	// An absolute name contains a separator too.
+	if name == "" || name == "." || name == ".." || strings.ContainsAny(name, `/\`) {
+		return nil, fmt.Errorf("checkpoint: shard file name %q is not a plain file name", name)
+	}
 	data, err := os.ReadFile(filepath.Join(s.dir, name))
 	if err != nil {
 		return nil, fmt.Errorf("checkpoint: shard %s: %w", name, err)
@@ -323,14 +312,10 @@ func (s *Store) WriteChunkAs(day simtime.Day, shard, chunk int, owner string, sn
 	return s.writeShardFile(chunkFileAs(day, shard, chunk, owner), snap)
 }
 
-// LoadChunk re-reads a chunk archive with the same double verification as
-// LoadShard (state CRC plus archive trailers).
-func (s *Store) LoadChunk(day simtime.Day, shard, chunk int, meta *Shard) (*dataset.Snapshot, error) {
-	name := meta.File
-	if name == "" {
-		name = chunkFile(day, shard, chunk)
-	}
-	return s.loadVerified(day, name, meta)
+// LoadChunk re-reads a chunk archive with the same double verification
+// and file-name check as LoadShard (state CRC plus archive trailers).
+func (s *Store) LoadChunk(day simtime.Day, meta *Shard) (*dataset.Snapshot, error) {
+	return s.loadVerified(day, meta.File, meta)
 }
 
 // LoadChunkAs re-reads an owner-tagged chunk archive, verified only by

@@ -31,7 +31,11 @@ func TestStateRoundTrip(t *testing.T) {
 	}
 	day := simtime.Date(2016, 1, 1)
 	st := NewState("fp-1")
-	st.Day(day).Shards[0] = &Shard{File: "day-2016-01-01-shard-000.tsv", CRC: 42, Records: 2}
+	cp0, err := st.Day(day).ChunkShard(0, 4, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cp0.Done[0] = &Shard{File: "day-2016-01-01-shard-000-chunk-00000.tsv", CRC: 42, Records: 2}
 	st.Day(day).Done = true
 	if err := cp.Save(st); err != nil {
 		t.Fatal(err)
@@ -47,8 +51,9 @@ func TestStateRoundTrip(t *testing.T) {
 		t.Errorf("fingerprint: %q", got.Fingerprint)
 	}
 	dp := got.Day(day)
-	if !dp.Done || dp.Shards[0] == nil || dp.Shards[0].CRC != 42 || dp.Shards[0].Records != 2 {
-		t.Errorf("day progress: %+v, shard %+v", dp, dp.Shards[0])
+	pc := dp.Partial[0]
+	if !dp.Done || pc == nil || !pc.Complete() || pc.Done[0].CRC != 42 || pc.Done[0].Records != 2 {
+		t.Errorf("day progress: %+v, shard %+v", dp, pc)
 	}
 }
 
@@ -73,14 +78,14 @@ func TestShardWriteLoadVerify(t *testing.T) {
 	}
 	day := simtime.Date(2016, 3, 1)
 	snap := testSnapshot(day)
-	meta, err := cp.WriteShard(day, 1, snap)
+	meta, err := cp.WriteShardAs(day, 1, "w1", snap)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if meta.Records != 2 || meta.File == "" {
 		t.Fatalf("meta: %+v", meta)
 	}
-	got, err := cp.LoadShard(day, 1, meta)
+	got, err := cp.LoadShard(day, meta)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,23 +103,74 @@ func TestShardWriteLoadVerify(t *testing.T) {
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cp.LoadShard(day, 1, meta); err == nil || !strings.Contains(err.Error(), "checksum") {
+	if _, err := cp.LoadShard(day, meta); err == nil || !strings.Contains(err.Error(), "checksum") {
 		t.Errorf("tampered shard: %v", err)
 	}
 
 	// A missing shard is an error, not a silent empty snapshot.
-	if _, err := cp.LoadShard(day, 7, &Shard{File: "day-2016-03-01-shard-007.tsv"}); err == nil {
+	if _, err := cp.LoadShard(day, &Shard{File: "day-2016-03-01-shard-007.w-w1.tsv"}); err == nil {
 		t.Error("missing shard accepted")
 	}
 
 	// Wrong record count in the state is detected even with a valid file.
-	fixed, err := cp.WriteShard(day, 1, snap)
+	fixed, err := cp.WriteShardAs(day, 1, "w1", snap)
 	if err != nil {
 		t.Fatal(err)
 	}
 	fixed.Records = 99
-	if _, err := cp.LoadShard(day, 1, fixed); err == nil {
+	if _, err := cp.LoadShard(day, fixed); err == nil {
 		t.Error("record-count mismatch accepted")
+	}
+}
+
+// TestLoadRejectsNonBaseNames: a shard or chunk name recorded in the
+// state, or reported by a remote worker, must be a plain file name inside
+// the directory. A name that reaches outside is refused even when the
+// file it points at exists and matches the recorded checksum.
+func TestLoadRejectsNonBaseNames(t *testing.T) {
+	root := t.TempDir()
+	cp, err := Open(filepath.Join(root, "state"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	outside, err := Open(filepath.Join(root, "outside"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	day := simtime.Date(2016, 3, 1)
+	meta, err := outside.WriteShardAs(day, 0, "w1", testSnapshot(day))
+	if err != nil {
+		t.Fatal(err)
+	}
+	abs := filepath.Join(outside.Dir(), meta.File)
+	for _, name := range []string{
+		"",
+		".",
+		"..",
+		"../outside/" + meta.File,
+		abs,
+		"sub/" + meta.File,
+		`sub\` + meta.File,
+	} {
+		bad := *meta
+		bad.File = name
+		if _, err := cp.LoadShard(day, &bad); err == nil || !strings.Contains(err.Error(), "plain file name") {
+			t.Errorf("LoadShard accepted file %q: %v", name, err)
+		}
+		if _, err := cp.LoadChunk(day, &bad); err == nil || !strings.Contains(err.Error(), "plain file name") {
+			t.Errorf("LoadChunk accepted file %q: %v", name, err)
+		}
+	}
+	// The same bytes under a plain name inside the directory load.
+	data, err := os.ReadFile(abs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(cp.Dir(), meta.File), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cp.LoadShard(day, meta); err != nil {
+		t.Errorf("plain name rejected: %v", err)
 	}
 }
 
@@ -125,7 +181,7 @@ func TestClear(t *testing.T) {
 		t.Fatal(err)
 	}
 	day := simtime.Date(2016, 3, 1)
-	if _, err := cp.WriteShard(day, 0, testSnapshot(day)); err != nil {
+	if _, err := cp.WriteShardAs(day, 0, "w1", testSnapshot(day)); err != nil {
 		t.Fatal(err)
 	}
 	if err := cp.Save(NewState("fp")); err != nil {

@@ -25,7 +25,7 @@ func TestChunkWriteLoadRoundTrip(t *testing.T) {
 	if meta.File != "day-2016-03-01-shard-002-chunk-00007.tsv" {
 		t.Errorf("chunk file name: %q", meta.File)
 	}
-	got, err := cp.LoadChunk(day, 2, 7, meta)
+	got, err := cp.LoadChunk(day, meta)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +40,7 @@ func TestChunkWriteLoadRoundTrip(t *testing.T) {
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cp.LoadChunk(day, 2, 7, meta); err == nil {
+	if _, err := cp.LoadChunk(day, meta); err == nil {
 		t.Error("corrupt chunk loaded without error")
 	}
 }

@@ -93,7 +93,7 @@ func TestWriteShardAsRoundTrip(t *testing.T) {
 	}}
 	snap.Canonicalize()
 
-	plain, err := s.WriteShard(day, 0, snap)
+	plain, err := s.WriteShardAs(day, 0, "w1", snap)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +104,7 @@ func TestWriteShardAsRoundTrip(t *testing.T) {
 	// Same bytes, distinct files: racing owners can never clobber each
 	// other, and identical content has identical checksums.
 	if owned.File == plain.File {
-		t.Fatalf("owner-tagged file collides with plain shard file: %s", owned.File)
+		t.Fatalf("owner-tagged files collide: %s", owned.File)
 	}
 	if strings.ContainsAny(owned.File, "/!") {
 		t.Fatalf("unsafe owner characters leaked into filename: %s", owned.File)
@@ -112,7 +112,7 @@ func TestWriteShardAsRoundTrip(t *testing.T) {
 	if owned.CRC != plain.CRC || owned.Records != plain.Records {
 		t.Fatalf("same snapshot, different metadata: %+v vs %+v", owned, plain)
 	}
-	got, err := s.LoadShard(day, 0, owned)
+	got, err := s.LoadShard(day, owned)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +124,7 @@ func TestWriteShardAsRoundTrip(t *testing.T) {
 	if err := s.Clear(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.LoadShard(day, 0, owned); err == nil {
+	if _, err := s.LoadShard(day, owned); err == nil {
 		t.Fatal("owner-tagged shard survived Clear")
 	}
 }
@@ -141,7 +141,7 @@ func TestWriteShardAsEmptySnapshot(t *testing.T) {
 	if meta.Records != 0 {
 		t.Fatalf("empty shard records: %d", meta.Records)
 	}
-	got, err := s.LoadShard(day, 3, meta)
+	got, err := s.LoadShard(day, meta)
 	if err != nil {
 		t.Fatalf("empty shard does not round-trip: %v", err)
 	}

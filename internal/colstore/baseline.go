@@ -26,7 +26,8 @@ type Baseline struct {
 	Seed         int64   `json:"seed"`
 	Domains      int     `json:"domains"`
 	Operators    int     `json:"operators"`
-	// Benchmarks pairs colstore and legacy variants of each workload.
+	// Benchmarks holds every measured workload variant, named
+	// "<work>/<variant>".
 	Benchmarks []BenchResult `json:"benchmarks"`
 	// Speedups maps workload name to legacy-ns-per-op / colstore-ns-per-op.
 	Speedups map[string]float64 `json:"speedups"`

@@ -20,9 +20,9 @@
 //     memcpy'd and only the four day-dependent booleans are patched, and
 //     every record of an operator shares one NS-host slice.
 //
-// Results are bit-identical to the legacy record-at-a-time path, which is
-// retained as the oracle (see tldsim.World.SnapshotAtLegacy /
-// SeriesForLegacy and the equivalence property tests).
+// Results are bit-identical to a record-at-a-time projection of the same
+// rows; that projection lives on only as the oracle of the equivalence
+// property tests (here and in tldsim).
 package colstore
 
 import (
@@ -52,7 +52,7 @@ const never = int32(simtime.Never)
 // itself (a broken chain validating). It must compare greater than never.
 const impossible = int32(1<<31 - 1)
 
-// Domain is one domain's full history, the ingest row for a Builder.
+// Domain is one domain's full history, the ingest row for a Shard.
 type Domain struct {
 	Name, TLD, Operator, Registrar string
 	// NSHost is the operator's concrete nameserver hostname; every domain
@@ -67,108 +67,10 @@ const (
 	flagExpired uint8 = 1 << 1
 )
 
-// Builder accumulates domains and freezes them into an Index.
-type Builder struct {
-	idx    *Index
-	opIDs  map[string]uint32
-	tldIDs map[string]uint16
-	regIDs map[string]uint32
-}
-
-// NewBuilder returns a builder with capacity hint n.
-func NewBuilder(n int) *Builder {
-	return &Builder{
-		idx: &Index{
-			names:   make([]string, 0, n),
-			opID:    make([]uint32, 0, n),
-			tldID:   make([]uint16, 0, n),
-			regID:   make([]uint32, 0, n),
-			created: make([]int32, 0, n),
-			keyDay:  make([]int32, 0, n),
-			dsDay:   make([]int32, 0, n),
-			fullDay: make([]int32, 0, n),
-			flags:   make([]uint8, 0, n),
-			opIDs:   make(map[string]uint32),
-			tldIDs:  make(map[string]uint16),
-		},
-		opIDs:  make(map[string]uint32),
-		tldIDs: make(map[string]uint16),
-		regIDs: make(map[string]uint32),
-	}
-}
-
-// Add appends one domain. Rows may arrive in any order; Build sorts the
-// derived event lists, not the rows themselves.
-func (b *Builder) Add(d Domain) {
-	x := b.idx
-	op, ok := b.opIDs[d.Operator]
-	if !ok {
-		op = uint32(len(x.ops))
-		b.opIDs[d.Operator] = op
-		x.opIDs[d.Operator] = op
-		x.ops = append(x.ops, d.Operator)
-		x.opNS = append(x.opNS, []string{d.NSHost})
-	}
-	tld, ok := b.tldIDs[d.TLD]
-	if !ok {
-		tld = uint16(len(x.tlds))
-		b.tldIDs[d.TLD] = tld
-		x.tldIDs[d.TLD] = tld
-		x.tlds = append(x.tlds, d.TLD)
-	}
-	reg, ok := b.regIDs[d.Registrar]
-	if !ok {
-		reg = uint32(len(x.regs))
-		b.regIDs[d.Registrar] = reg
-		x.regs = append(x.regs, d.Registrar)
-	}
-	var fl uint8
-	if d.BrokenDS {
-		fl |= flagBroken
-	}
-	if d.ExpiredSig {
-		fl |= flagExpired
-	}
-	// fullDay is the precomputed day full deployment begins: a domain is
-	// ChainValid once both halves are in place and neither breakage flag
-	// is set, i.e. from max(KeyDay, DSDay) on. A broken/expired chain can
-	// never validate, which is a strictly stronger condition than "has not
-	// happened yet": a query AT day Never matches Never-valued events (the
-	// legacy `KeyDay <= day` comparison does), so the impossible case gets
-	// its own sentinel above never.
-	full := impossible
-	if fl == 0 {
-		full = int32(d.KeyDay)
-		if int32(d.DSDay) > full {
-			full = int32(d.DSDay)
-		}
-	}
-	x.names = append(x.names, d.Name)
-	x.opID = append(x.opID, op)
-	x.tldID = append(x.tldID, tld)
-	x.regID = append(x.regID, reg)
-	x.created = append(x.created, clampDay(d.Created))
-	x.keyDay = append(x.keyDay, int32(d.KeyDay))
-	x.dsDay = append(x.dsDay, int32(d.DSDay))
-	x.fullDay = append(x.fullDay, full)
-	x.flags = append(x.flags, fl)
-}
-
-// Build freezes the columns: the per-(operator, TLD) event groups are
-// bucketed and day-sorted, and the builder must not be reused. The record
-// template is built lazily on the first snapshot.
-func (b *Builder) Build() *Index {
-	x := b.idx
-	b.idx = nil
-	x.finish()
-	return x
-}
-
 // finish derives everything a frozen column set needs to serve queries:
 // population size, the day-sorted event groups, and the scratch-counter
-// pool. It is shared by the sequential Builder, the parallel shard merge,
-// and the on-disk loader, so every construction path yields an identical
-// engine.
+// pool. It is shared by the shard merge and the on-disk loader, so both
+// construction paths yield an identical engine.
 func (x *Index) finish() {
 	x.n = len(x.names)
 
@@ -194,7 +96,7 @@ func (x *Index) finish() {
 		if x.dsDay[i] != never {
 			g.dsDays = append(g.dsDays, x.dsDay[i])
 			if x.fullDay[i] != impossible {
-				// Mirrors the legacy event list exactly: a DS-holding,
+				// Mirrors the record-at-a-time event list: a DS-holding,
 				// unbroken chain contributes max(KeyDay, DSDay) — which may
 				// itself be Never when the zone is never signed.
 				g.fullDays = append(g.fullDays, x.fullDay[i])
@@ -324,7 +226,7 @@ func (x *Index) Target(i int) (domain, tld string) {
 }
 
 // Row projects domain i back into its ingest form — the inverse of
-// Builder.Add. Day sentinels round-trip (never → simtime.Never); fullDay
+// Shard.Add. Day sentinels round-trip (never → simtime.Never); fullDay
 // is derived state and needs no inverse.
 func (x *Index) Row(i int) Domain {
 	x.mustOpen()
@@ -473,8 +375,8 @@ func (x *Index) materializeCtx(ctx context.Context, day simtime.Day) (*dataset.S
 // Series computes the daily deployment series for one operator (all its
 // TLDs when tld == "") by sweeping cursors over the day-sorted event
 // groups: O(group events + days) total, independent of the rest of the
-// population. Unknown operators/TLDs yield all-zero points, matching the
-// legacy scan.
+// population. Unknown operators/TLDs yield all-zero points, matching a
+// full population scan.
 func (x *Index) Series(operator, tld string, from, to simtime.Day, stepDays int) []analysis.SeriesPoint {
 	x.mustOpen()
 	out, _ := x.SeriesCtx(context.Background(), operator, tld, from, to, stepDays)

@@ -1,6 +1,7 @@
 package colstore
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -48,16 +49,26 @@ func randomDomains(rng *rand.Rand, n int) []Domain {
 	return out
 }
 
+// buildIndex builds an index the way world generation does: the rows are
+// cut into shards of uneven sizes, each interning locally, and merged in
+// order.
 func buildIndex(domains []Domain) *Index {
-	b := NewBuilder(len(domains))
-	for _, d := range domains {
-		b.Add(d)
+	sizes := []int{1, 5, 64, 333}
+	var shards []*Shard
+	for lo, k := 0, 0; lo < len(domains); k++ {
+		hi := min(lo+sizes[k%len(sizes)], len(domains))
+		s := NewShard(hi - lo)
+		for _, d := range domains[lo:hi] {
+			s.Add(d)
+		}
+		shards = append(shards, s)
+		lo = hi
 	}
-	return b.Build()
+	return MergeShards(shards)
 }
 
-// refRecord is the oracle projection: the same rules as
-// tldsim.DomainState.RecordAt.
+// refRecord is the oracle projection: a domain's record on one day,
+// derived field by field from its history.
 func refRecord(d *Domain, day simtime.Day) dataset.Record {
 	hasKey := d.KeyDay <= day
 	hasDS := d.DSDay <= day
@@ -333,5 +344,36 @@ func TestSeriesAllocs(t *testing.T) {
 	})
 	if allocs > 8 {
 		t.Errorf("Series allocates %.1f objects per call, want <= 8", allocs)
+	}
+}
+
+// TestMergeShardsSplitInvariance: where the rows are cut into shards must
+// not show in the merged index. One shard, uneven shards and one shard per
+// row (with empty and nil shards mixed in) serialize to the same bytes.
+func TestMergeShardsSplitInvariance(t *testing.T) {
+	rng := rand.New(rand.NewSource(106))
+	for trial := 0; trial < 10; trial++ {
+		domains := randomDomains(rng, rng.Intn(800))
+		one := NewShard(len(domains))
+		perRow := []*Shard{nil, NewShard(0)}
+		for _, d := range domains {
+			one.Add(d)
+			s := NewShard(1)
+			s.Add(d)
+			perRow = append(perRow, s, nil)
+		}
+		var want bytes.Buffer
+		if err := MergeShards([]*Shard{one}).Save(&want, nil); err != nil {
+			t.Fatal(err)
+		}
+		for name, x := range map[string]*Index{"uneven": buildIndex(domains), "per-row": MergeShards(perRow)} {
+			var got bytes.Buffer
+			if err := x.Save(&got, nil); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got.Bytes(), want.Bytes()) {
+				t.Fatalf("trial %d: %s split of %d rows serializes differently from one shard", trial, name, len(domains))
+			}
+		}
 	}
 }

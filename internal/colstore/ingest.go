@@ -4,7 +4,7 @@ package colstore
 // from observed daily snapshots, one archive section at a time, without
 // ever rebuilding from scratch.
 //
-// The Builder/Shard constructors ingest *domain histories* (each row
+// The Shard constructor ingests *domain histories* (each row
 // already knows its KeyDay/DSDay); an Ingester instead consumes what a
 // long-running measurement actually produces — per-day observation
 // snapshots — and derives the event columns on the fly:
@@ -246,7 +246,7 @@ func observedFlags(rec *dataset.Record) uint8 {
 	return fl
 }
 
-// deriveFullDay mirrors Builder.Add's fullDay derivation over the mutable
+// deriveFullDay mirrors Shard.Add's fullDay derivation over the mutable
 // ingest columns (see the comment there for the sentinel semantics).
 func deriveFullDay(keyDay, dsDay int32, fl uint8) int32 {
 	if fl != 0 {

@@ -271,14 +271,11 @@ func TestIngestTLDOverflow(t *testing.T) {
 }
 
 // TestIngestRejectsDuplicateRows: an index with duplicate domain names
-// (possible via Builder) cannot seed an ingester, which addresses rows by
+// (possible via Shard) cannot seed an ingester, which addresses rows by
 // name.
 func TestIngestRejectsDuplicateRows(t *testing.T) {
-	b := NewBuilder(2)
 	d := Domain{Name: "dup.com", TLD: "com", Operator: "op.example", NSHost: "ns1.op.example"}
-	b.Add(d)
-	b.Add(d)
-	if _, err := NewIngesterFromIndex(b.Build()); err == nil {
+	if _, err := NewIngesterFromIndex(buildIndex([]Domain{d, d})); err == nil {
 		t.Fatal("NewIngesterFromIndex should reject duplicate domain names")
 	}
 }

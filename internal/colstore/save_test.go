@@ -19,7 +19,7 @@ import (
 func testIndex(n int, seed int64) *Index {
 	rng := rand.New(rand.NewSource(seed))
 	tlds := []string{"com", "net", "org", "nl", "se"}
-	b := NewBuilder(n)
+	domains := make([]Domain, 0, n)
 	for i := 0; i < n; i++ {
 		op := fmt.Sprintf("op%02d.example", rng.Intn(12))
 		reg := ""
@@ -32,7 +32,7 @@ func testIndex(n int, seed int64) *Index {
 			}
 			return simtime.Day(rng.Intn(900) - 100)
 		}
-		b.Add(Domain{
+		domains = append(domains, Domain{
 			Name:       fmt.Sprintf("d%05d.%s", i, tlds[rng.Intn(len(tlds))]),
 			TLD:        tlds[rng.Intn(len(tlds))],
 			Operator:   op,
@@ -45,7 +45,7 @@ func testIndex(n int, seed int64) *Index {
 			ExpiredSig: rng.Intn(7) == 0,
 		})
 	}
-	return b.Build()
+	return buildIndex(domains)
 }
 
 // assertIndexEqual compares two indexes via their public query surface.
@@ -124,7 +124,7 @@ func TestSaveDeterministic(t *testing.T) {
 }
 
 func TestEmptyIndexRoundTrip(t *testing.T) {
-	x := NewBuilder(0).Build()
+	x := MergeShards(nil)
 	var buf bytes.Buffer
 	if err := x.Save(&buf, nil); err != nil {
 		t.Fatal(err)
@@ -139,7 +139,7 @@ func TestEmptyIndexRoundTrip(t *testing.T) {
 }
 
 func TestMetaValidation(t *testing.T) {
-	x := NewBuilder(0).Build()
+	x := MergeShards(nil)
 	var buf bytes.Buffer
 	for _, bad := range []map[string]string{
 		{"a=b": "v"},

@@ -2,11 +2,10 @@ package colstore
 
 // Parallel sharded construction: world generation fills one Shard per
 // cohort on whatever goroutine happens to run it, and MergeShards splices
-// the shards — in cohort order — into an Index identical to what a single
-// sequential Builder fed the same rows in the same order would produce.
-// Intern IDs are assigned by first occurrence in the merged row sequence,
-// so the result does not depend on how the shards were distributed over
-// workers, only on their order here. That makes the whole pipeline
+// the shards — in cohort order — into one Index. Intern IDs are assigned
+// by first occurrence in the merged row sequence, so the result does not
+// depend on how the shards were distributed over workers, only on their
+// order here. That makes the whole pipeline
 // byte-identical for a given seed regardless of worker count.
 
 // Shard is a privately owned column fragment with local intern tables.
@@ -93,7 +92,13 @@ func (s *Shard) Add(d Domain) {
 	if d.ExpiredSig {
 		fl |= flagExpired
 	}
-	// Same derivation as Builder.Add: see the fullDay comment there.
+	// fullDay is the precomputed day full deployment begins: a domain is
+	// ChainValid once both halves are in place and neither breakage flag
+	// is set, i.e. from max(KeyDay, DSDay) on. A broken/expired chain can
+	// never validate, which is a strictly stronger condition than "has not
+	// happened yet": a query AT day Never matches Never-valued events (the
+	// record projection's `KeyDay <= day` comparison does), so the
+	// impossible case gets its own sentinel above never.
 	full := impossible
 	if fl == 0 {
 		full = int32(d.KeyDay)

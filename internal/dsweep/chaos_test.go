@@ -17,6 +17,7 @@ import (
 	"securepki.org/registrarsec/internal/dataset"
 	"securepki.org/registrarsec/internal/dnstest"
 	"securepki.org/registrarsec/internal/dnswire"
+	"securepki.org/registrarsec/internal/ecosystem"
 	"securepki.org/registrarsec/internal/registrar"
 	"securepki.org/registrarsec/internal/scan"
 	"securepki.org/registrarsec/internal/simtime"
@@ -24,9 +25,9 @@ import (
 
 // buildTestWorld wires an ecosystem with registrars producing every
 // deployment class (mirrors the scan package's test world).
-func buildTestWorld(t *testing.T) (*dnstest.Ecosystem, []scan.Target) {
+func buildTestWorld(t *testing.T) (*ecosystem.Ecosystem, []scan.Target) {
 	t.Helper()
-	eco, err := dnstest.NewEcosystem(dnstest.EcosystemConfig{TLDs: []string{"com", "nl"}})
+	eco, err := ecosystem.New(ecosystem.Config{TLDs: []string{"com", "nl"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,14 +85,14 @@ func buildTestWorld(t *testing.T) (*dnstest.Ecosystem, []scan.Target) {
 // testStreamSetup builds a StreamDaySetup over the fixed in-memory world:
 // the targets behind a cursor, with no per-chunk prepare work (the
 // ecosystem is fully materialized already).
-func testStreamSetup(t *testing.T, eco *dnstest.Ecosystem, targets []scan.Target) scan.StreamDaySetup {
+func testStreamSetup(t *testing.T, eco *ecosystem.Ecosystem, targets []scan.Target) scan.StreamDaySetup {
 	return func(ctx context.Context, day simtime.Day) (*scan.Scanner, scan.TargetSource, scan.ChunkPrepare, error) {
 		return testScanner(t, eco), scan.SliceTargets(targets), nil, nil
 	}
 }
 
 // testScanner builds a scanner over the fixed in-memory world.
-func testScanner(t *testing.T, eco *dnstest.Ecosystem) *scan.Scanner {
+func testScanner(t *testing.T, eco *ecosystem.Ecosystem) *scan.Scanner {
 	s, err := scan.New(scan.Config{
 		Exchange: eco.Net,
 		TLDServers: map[string]string{
@@ -110,7 +111,7 @@ func testScanner(t *testing.T, eco *dnstest.Ecosystem) *scan.Scanner {
 // referenceArchive is the byte-identity oracle: each day is one
 // uninterrupted ScanDay over every target, canonicalized. The merged
 // archive must match it whatever the shard count, chunk size or fleet.
-func referenceArchive(t *testing.T, eco *dnstest.Ecosystem, targets []scan.Target, days []simtime.Day) []byte {
+func referenceArchive(t *testing.T, eco *ecosystem.Ecosystem, targets []scan.Target, days []simtime.Day) []byte {
 	t.Helper()
 	store := dataset.NewStore()
 	for _, day := range days {
@@ -130,7 +131,7 @@ func referenceArchive(t *testing.T, eco *dnstest.Ecosystem, targets []scan.Targe
 
 // chaosEnv is one prepared distributed-sweep scenario.
 type chaosEnv struct {
-	eco     *dnstest.Ecosystem
+	eco     *ecosystem.Ecosystem
 	targets []scan.Target
 	days    []simtime.Day
 	plan    Plan

@@ -365,7 +365,7 @@ func (c *Coordinator) Complete(_ context.Context, req *CompleteRequest) (*Comple
 
 	// First completion: verify the flushed shard before trusting it. A
 	// worker with a sick disk must not poison the merge.
-	if _, err := c.cfg.Store.LoadShard(req.Unit.Day, req.Unit.Shard, req.Meta); err != nil {
+	if _, err := c.cfg.Store.LoadShard(req.Unit.Day, req.Meta); err != nil {
 		c.stats.Rejected++
 		c.event("coordinator: rejected completion of %s from %s: %v", req.Unit, req.Worker, err)
 		if serr := c.saveLocked(); serr != nil {
@@ -437,7 +437,7 @@ func (c *Coordinator) Merge() (*dataset.Store, error) {
 		for k := 0; k < c.cfg.Plan.Shards; k++ {
 			id := UnitID{Day: day, Shard: k}
 			u := c.units[id]
-			snap, err := c.cfg.Store.LoadShard(day, k, u.meta)
+			snap, err := c.cfg.Store.LoadShard(day, u.meta)
 			if err != nil {
 				return nil, fmt.Errorf("dsweep: merge: unit %s: %w", id, err)
 			}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"net/http/httptest"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -119,5 +120,55 @@ func TestHTTPErrorMapping(t *testing.T) {
 	}
 	if plan.Fingerprint != env.plan.Fingerprint || len(plan.Days) != len(env.plan.Days) || plan.Shards != env.plan.Shards {
 		t.Fatalf("plan round-trip: %+v", plan)
+	}
+}
+
+// TestHTTPCompleteRejectsFileOutsideDir: the shard file name in a
+// completion report comes from the worker, so a report naming a file
+// outside the coordinator's checkpoint directory is rejected, even when
+// that file exists and matches the reported checksum, and the unit is
+// leased again.
+func TestHTTPCompleteRejectsFileOutsideDir(t *testing.T) {
+	st := openStore(t)
+	coord, err := NewCoordinator(CoordinatorConfig{Plan: testPlan(1, 10), Store: st})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord.Close()
+	srv := httptest.NewServer(NewHandler(coord))
+	defer srv.Close()
+	client := &Client{Base: srv.URL}
+	ctx := context.Background()
+
+	g, err := client.Lease(ctx, "w1")
+	if err != nil || g.Status != GrantRun {
+		t.Fatalf("lease: %+v, %v", g, err)
+	}
+	outside := openStore(t)
+	meta := flush(t, outside, g.Unit, "w1", makeSnap(g.Unit.Day, "a.com"))
+	rel, err := filepath.Rel(st.Dir(), filepath.Join(outside.Dir(), meta.File))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.HasPrefix(rel, "..") {
+		t.Fatalf("test file %s is not outside the checkpoint directory", rel)
+	}
+	for _, name := range []string{rel, filepath.Join(outside.Dir(), meta.File)} {
+		bad := *meta
+		bad.File = name
+		rep, err := client.Complete(ctx, &CompleteRequest{
+			LeaseID: g.LeaseID, Worker: "w1", Unit: g.Unit,
+			Fingerprint: coord.cfg.Plan.Fingerprint, Meta: &bad,
+		})
+		if err != nil || rep.Status != CompleteRejected {
+			t.Fatalf("completion naming %s: %+v, %v", name, rep, err)
+		}
+		g, err = client.Lease(ctx, "w1")
+		if err != nil || g.Status != GrantRun {
+			t.Fatalf("rejected unit not leased again: %+v, %v", g, err)
+		}
+	}
+	if s := coord.Stats(); s.Rejected != 2 {
+		t.Fatalf("stats: %+v", s)
 	}
 }

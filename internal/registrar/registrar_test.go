@@ -8,8 +8,8 @@ import (
 	"securepki.org/registrarsec/internal/channel"
 	"securepki.org/registrarsec/internal/dnssec"
 	"securepki.org/registrarsec/internal/dnsserver"
-	"securepki.org/registrarsec/internal/dnstest"
 	"securepki.org/registrarsec/internal/dnswire"
+	"securepki.org/registrarsec/internal/ecosystem"
 	"securepki.org/registrarsec/internal/registrar"
 	"securepki.org/registrarsec/internal/simtime"
 	"securepki.org/registrarsec/internal/zone"
@@ -17,13 +17,13 @@ import (
 
 // world bundles an ecosystem with helpers for registrar tests.
 type world struct {
-	*dnstest.Ecosystem
+	*ecosystem.Ecosystem
 	t *testing.T
 }
 
 func newWorld(t *testing.T) *world {
 	t.Helper()
-	e, err := dnstest.NewEcosystem(dnstest.EcosystemConfig{TLDs: []string{"com", "se"}})
+	e, err := ecosystem.New(ecosystem.Config{TLDs: []string{"com", "se"}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,20 +7,20 @@ import (
 
 	"securepki.org/registrarsec/internal/dnssec"
 	"securepki.org/registrarsec/internal/dnsserver"
-	"securepki.org/registrarsec/internal/dnstest"
 	"securepki.org/registrarsec/internal/dnswire"
+	"securepki.org/registrarsec/internal/ecosystem"
 	"securepki.org/registrarsec/internal/registry"
 	"securepki.org/registrarsec/internal/simtime"
 	"securepki.org/registrarsec/internal/zone"
 )
 
 // newEco builds a one-TLD ecosystem with an incentive on .nl.
-func newEco(t *testing.T, tlds ...string) *dnstest.Ecosystem {
+func newEco(t *testing.T, tlds ...string) *ecosystem.Ecosystem {
 	t.Helper()
 	if len(tlds) == 0 {
 		tlds = []string{"com", "nl"}
 	}
-	e, err := dnstest.NewEcosystem(dnstest.EcosystemConfig{
+	e, err := ecosystem.New(ecosystem.Config{
 		TLDs: tlds,
 		Incentives: map[string]*registry.Incentive{
 			"nl": {DiscountPerYear: 0.28, MaxFailures: 14, WindowDays: 180},
@@ -155,7 +155,7 @@ func TestTransferAndRenew(t *testing.T) {
 
 // addSignedDomain wires a real signed child zone on the ecosystem network
 // and registers it with a correct (or garbage) DS.
-func addSignedDomain(t *testing.T, e *dnstest.Ecosystem, reg *registry.Registry, registrarID, domain, nsHost string, goodDS bool) *zone.Signer {
+func addSignedDomain(t *testing.T, e *ecosystem.Ecosystem, reg *registry.Registry, registrarID, domain, nsHost string, goodDS bool) *zone.Signer {
 	t.Helper()
 	z := zone.New(domain)
 	z.MustAdd(dnswire.NewRR(domain, 3600, &dnswire.SOA{
@@ -192,7 +192,7 @@ func addSignedDomain(t *testing.T, e *dnstest.Ecosystem, reg *registry.Registry,
 }
 
 // dnstestServer fetches or creates an authoritative server at nsHost.
-func dnstestServer(e *dnstest.Ecosystem, nsHost string) *dnsserver.Authoritative {
+func dnstestServer(e *ecosystem.Ecosystem, nsHost string) *dnsserver.Authoritative {
 	if h := e.Net.Lookup(nsHost); h != nil {
 		return h.(*dnsserver.Authoritative)
 	}

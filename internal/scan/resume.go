@@ -212,7 +212,7 @@ func (rs *ResumableSweep) runDayStream(ctx context.Context, day simtime.Day, st 
 			clo := span.Lo + c*chunkSz
 			chi := min(clo+chunkSz, span.Hi)
 			if meta := cp.Done[c]; meta != nil && rs.Checkpoint != nil {
-				snap, err := rs.Checkpoint.LoadChunk(day, k, c, meta)
+				snap, err := rs.Checkpoint.LoadChunk(day, meta)
 				if err == nil {
 					rs.event("resume: day %s shard %d chunk %d/%d verified from checkpoint (%d records)",
 						day, k, c+1, cp.Chunks, len(snap.Records))
@@ -304,7 +304,7 @@ func (rs *ResumableSweep) loadDoneDayStream(day simtime.Day, dp *checkpoint.DayP
 				rs.event("resume: day %s shard %d chunk %d missing from checkpoint state", day, k, c)
 				return false, nil
 			}
-			snap, err := rs.Checkpoint.LoadChunk(day, k, c, meta)
+			snap, err := rs.Checkpoint.LoadChunk(day, meta)
 			if err != nil {
 				rs.event("resume: day %s shard %d chunk %d failed verification (%v)", day, k, c, err)
 				delete(cp.Done, c)

@@ -14,6 +14,7 @@ import (
 	"securepki.org/registrarsec/internal/dataset"
 	"securepki.org/registrarsec/internal/dnstest"
 	"securepki.org/registrarsec/internal/dnswire"
+	"securepki.org/registrarsec/internal/ecosystem"
 	"securepki.org/registrarsec/internal/exchange"
 	"securepki.org/registrarsec/internal/scan"
 	"securepki.org/registrarsec/internal/simtime"
@@ -42,7 +43,7 @@ func (e *cancelAtExchanger) Exchange(ctx context.Context, server string, q *dnsw
 // sweepSetup returns a StreamDaySetup over the fixed in-memory world,
 // optionally wrapping the exchanger: the target list behind a cursor and
 // no per-chunk prepare (the in-memory world serves every domain already).
-func sweepSetup(t *testing.T, eco *dnstest.Ecosystem, targets []scan.Target, wrap func(exchange.Exchanger) exchange.Exchanger) scan.StreamDaySetup {
+func sweepSetup(t *testing.T, eco *ecosystem.Ecosystem, targets []scan.Target, wrap func(exchange.Exchanger) exchange.Exchanger) scan.StreamDaySetup {
 	return func(ctx context.Context, day simtime.Day) (*scan.Scanner, scan.TargetSource, scan.ChunkPrepare, error) {
 		var ex exchange.Exchanger = eco.Net
 		if wrap != nil {
@@ -68,7 +69,7 @@ func sweepSetup(t *testing.T, eco *dnstest.Ecosystem, targets []scan.Target, wra
 // each day is one ScanDay over all targets, canonicalized, written as an
 // archive. A sweep's output must match it byte for byte whatever its shard
 // count and chunk size.
-func wholeDayArchive(t *testing.T, eco *dnstest.Ecosystem, targets []scan.Target, days []simtime.Day) []byte {
+func wholeDayArchive(t *testing.T, eco *ecosystem.Ecosystem, targets []scan.Target, days []simtime.Day) []byte {
 	t.Helper()
 	store := dataset.NewStore()
 	for _, day := range days {
@@ -251,46 +252,50 @@ func TestResumableSweepDamagedShardRescanned(t *testing.T) {
 	}
 }
 
-// TestRunStreamDoneDayWithoutChunksRescanned writes the state the retired
-// whole-day sweep left behind — a day marked done whose records live in
-// shard files, with no chunk progress — and checks the day is re-scanned
-// in full instead of served empty as verified.
+// TestRunStreamDoneDayWithoutChunksRescanned writes the states the retired
+// whole-day sweep left behind — a day marked done with no chunk progress,
+// with and without its old "shards" entry pointing at a valid whole-shard
+// archive — and checks the day is re-scanned in full instead of served
+// empty as verified or read from the retired layout.
 func TestRunStreamDoneDayWithoutChunksRescanned(t *testing.T) {
 	eco, targets := buildWorld(t)
 	day := eco.Clock.Day()
 	want := wholeDayArchive(t, eco, targets, []simtime.Day{day})
 
-	cp, err := checkpoint.Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	snap, _, err := newScanner(t, eco, 3).ScanDay(context.Background(), day, targets)
-	if err != nil {
-		t.Fatal(err)
-	}
-	snap.Canonicalize()
-	meta, err := cp.WriteShard(day, 0, snap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := checkpoint.NewState("old-layout")
-	dp := st.Day(day)
-	dp.Shards[0] = meta
-	dp.Done = true
-	if err := cp.Save(st); err != nil {
-		t.Fatal(err)
-	}
+	for _, withShards := range []bool{false, true} {
+		cp, err := checkpoint.Open(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		state := fmt.Sprintf(`{"fingerprint": "old-layout", "days": {%q: {"done": true}}}`, day)
+		if withShards {
+			snap, _, err := newScanner(t, eco, 3).ScanDay(context.Background(), day, targets)
+			if err != nil {
+				t.Fatal(err)
+			}
+			snap.Canonicalize()
+			meta, err := cp.WriteShardAs(day, 0, "old", snap)
+			if err != nil {
+				t.Fatal(err)
+			}
+			state = fmt.Sprintf(`{"fingerprint": "old-layout", "days": {%q: {"done": true, "shards": {"0": {"file": %q, "crc32c": %d, "records": %d}}}}}`,
+				day, meta.File, meta.CRC, meta.Records)
+		}
+		if err := os.WriteFile(filepath.Join(cp.Dir(), "checkpoint.json"), []byte(state), 0o644); err != nil {
+			t.Fatal(err)
+		}
 
-	var events []string
-	rs := &scan.ResumableSweep{
-		Checkpoint: cp, Fingerprint: "old-layout", Shards: 1,
-		StreamSetup: sweepSetup(t, eco, targets, nil),
-		OnEvent:     func(f string, a ...any) { events = append(events, fmt.Sprintf(f, a...)) },
-	}
-	if got := archiveViaStream(t, rs, []simtime.Day{day}); !bytes.Equal(want, got) {
-		t.Errorf("done day without chunk progress not re-scanned in full:\n--- want\n%s\n--- got\n%s", want, got)
-	}
-	if !strings.Contains(strings.Join(events, "\n"), "no chunk progress") {
-		t.Errorf("re-scan not reported: %q", events)
+		var events []string
+		rs := &scan.ResumableSweep{
+			Checkpoint: cp, Fingerprint: "old-layout", Shards: 1,
+			StreamSetup: sweepSetup(t, eco, targets, nil),
+			OnEvent:     func(f string, a ...any) { events = append(events, fmt.Sprintf(f, a...)) },
+		}
+		if got := archiveViaStream(t, rs, []simtime.Day{day}); !bytes.Equal(want, got) {
+			t.Errorf("shards entry %v: done day without chunk progress not re-scanned in full:\n--- want\n%s\n--- got\n%s", withShards, want, got)
+		}
+		if !strings.Contains(strings.Join(events, "\n"), "no chunk progress") {
+			t.Errorf("shards entry %v: re-scan not reported: %q", withShards, events)
+		}
 	}
 }

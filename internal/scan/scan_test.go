@@ -11,6 +11,7 @@ import (
 	"securepki.org/registrarsec/internal/dnsserver"
 	"securepki.org/registrarsec/internal/dnstest"
 	"securepki.org/registrarsec/internal/dnswire"
+	"securepki.org/registrarsec/internal/ecosystem"
 	"securepki.org/registrarsec/internal/exchange"
 	"securepki.org/registrarsec/internal/registrar"
 	"securepki.org/registrarsec/internal/scan"
@@ -18,9 +19,9 @@ import (
 
 // buildWorld wires an ecosystem with registrars producing every deployment
 // class, returning the ecosystem and the scan targets.
-func buildWorld(t *testing.T) (*dnstest.Ecosystem, []scan.Target) {
+func buildWorld(t *testing.T) (*ecosystem.Ecosystem, []scan.Target) {
 	t.Helper()
-	eco, err := dnstest.NewEcosystem(dnstest.EcosystemConfig{TLDs: []string{"com", "nl"}})
+	eco, err := ecosystem.New(ecosystem.Config{TLDs: []string{"com", "nl"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +79,7 @@ func buildWorld(t *testing.T) (*dnstest.Ecosystem, []scan.Target) {
 	return eco, scan.TargetsFromDomains(domains)
 }
 
-func newScanner(t *testing.T, eco *dnstest.Ecosystem, workers int) *scan.Scanner {
+func newScanner(t *testing.T, eco *ecosystem.Ecosystem, workers int) *scan.Scanner {
 	t.Helper()
 	s, err := scan.New(scan.Config{
 		Exchange: eco.Net,

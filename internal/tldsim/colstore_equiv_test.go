@@ -12,10 +12,16 @@ import (
 	"securepki.org/registrarsec/internal/simtime"
 )
 
-// randomWorld fabricates a world directly from random DomainStates,
-// covering state combinations the cohort machinery never produces (DS
-// without DNSKEY, broken+expired, Never in every slot).
-func randomWorld(rng *rand.Rand, n int) *World {
+// equivWorld is a world together with the rows the oracles read.
+type equivWorld struct {
+	w    *World
+	rows []DomainState
+}
+
+// randomWorld fabricates a world from random DomainStates, covering state
+// combinations the cohort machinery never produces (DS without DNSKEY,
+// broken+expired, Never in every slot).
+func randomWorld(rng *rand.Rand, n int) equivWorld {
 	tlds := []string{"com", "net", "org", "nl", "se"}
 	ops := make([]string, 1+rng.Intn(10))
 	for i := range ops {
@@ -27,14 +33,14 @@ func randomWorld(rng *rand.Rand, n int) *World {
 		}
 		return simtime.Day(rng.Intn(900) - 100)
 	}
-	w := &World{}
+	var rows []DomainState
 	for i := 0; i < n; i++ {
 		op := ops[rng.Intn(len(ops))]
 		reg := ""
 		if rng.Intn(2) == 0 {
 			reg = "Registrar-" + op
 		}
-		w.Domains = append(w.Domains, DomainState{
+		rows = append(rows, DomainState{
 			Name:       fmt.Sprintf("e%05d.%s", i, tlds[rng.Intn(len(tlds))]),
 			TLD:        tlds[rng.Intn(len(tlds))],
 			Operator:   op,
@@ -45,13 +51,14 @@ func randomWorld(rng *rand.Rand, n int) *World {
 			ExpiredSig: rng.Intn(7) == 0,
 		})
 	}
-	return w
+	return equivWorld{w: worldFromRows(rows), rows: rows}
 }
 
 // equivWorlds yields the property-test population: the shared calibrated
-// world plus a batch of small adversarial random ones.
-func equivWorlds(t *testing.T, rng *rand.Rand) []*World {
-	worlds := []*World{testWorld(t)}
+// world (its rows from the sequential sampler) plus a batch of small
+// adversarial random ones.
+func equivWorlds(t *testing.T, rng *rand.Rand) []equivWorld {
+	worlds := []equivWorld{{w: testWorld(t), rows: testWorldRows(t)}}
 	for i := 0; i < 8; i++ {
 		worlds = append(worlds, randomWorld(rng, rng.Intn(500)))
 	}
@@ -60,11 +67,11 @@ func equivWorlds(t *testing.T, rng *rand.Rand) []*World {
 
 func TestColstoreSeriesEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(101))
-	for wi, w := range equivWorlds(t, rng) {
+	for wi, ew := range equivWorlds(t, rng) {
 		for trial := 0; trial < 25; trial++ {
 			operator := "no-such-operator.example"
-			if len(w.Domains) > 0 && rng.Intn(5) > 0 {
-				operator = w.Domains[rng.Intn(len(w.Domains))].Operator
+			if len(ew.rows) > 0 && rng.Intn(5) > 0 {
+				operator = ew.rows[rng.Intn(len(ew.rows))].Operator
 			}
 			tld := ""
 			switch rng.Intn(3) {
@@ -76,8 +83,8 @@ func TestColstoreSeriesEquivalence(t *testing.T) {
 			from := simtime.Day(rng.Intn(1100) - 300)
 			to := from + simtime.Day(rng.Intn(600)-60)
 			step := rng.Intn(45) - 5
-			got := w.SeriesFor(operator, tld, from, to, step)
-			want := w.SeriesForLegacy(operator, tld, from, to, step)
+			got := ew.w.SeriesFor(operator, tld, from, to, step)
+			want := seriesOracle(ew.rows, operator, tld, from, to, step)
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("world %d trial %d: series diverges for op=%s tld=%q [%v,%v] step %d",
 					wi, trial, operator, tld, from, to, step)
@@ -88,21 +95,21 @@ func TestColstoreSeriesEquivalence(t *testing.T) {
 
 func TestColstoreSnapshotEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(102))
-	for wi, w := range equivWorlds(t, rng) {
+	for wi, ew := range equivWorlds(t, rng) {
 		days := []simtime.Day{
 			simtime.GTLDStart, simtime.End, simtime.Never,
 			simtime.Day(rng.Intn(900) - 100),
 			simtime.Day(rng.Intn(900) - 100),
 		}
 		for _, day := range days {
-			got := w.SnapshotAt(day)
-			want := w.SnapshotAtLegacy(day)
+			got := ew.w.SnapshotAt(day)
+			want := snapshotOracle(ew.rows, day)
 			if len(got.Records) != len(want.Records) {
 				t.Fatalf("world %d day %v: %d vs %d records", wi, day, len(got.Records), len(want.Records))
 			}
 			for i := range want.Records {
 				if !reflect.DeepEqual(got.Records[i], want.Records[i]) {
-					t.Fatalf("world %d day %v record %d:\ncolstore %+v\nlegacy   %+v",
+					t.Fatalf("world %d day %v record %d:\ncolstore %+v\noracle   %+v",
 						wi, day, i, got.Records[i], want.Records[i])
 				}
 			}
@@ -121,9 +128,10 @@ func TestColstoreCDFAndOverviewEquivalence(t *testing.T) {
 		{colstore.ClassPartial, analysis.PartiallyDeployed},
 		{colstore.ClassFull, analysis.FullyDeployed},
 	}
-	for wi, w := range equivWorlds(t, rng) {
+	for wi, ew := range equivWorlds(t, rng) {
+		w := ew.w
 		day := simtime.Day(rng.Intn(800))
-		snap := w.SnapshotAtLegacy(day)
+		snap := snapshotOracle(ew.rows, day)
 		for _, tlds := range [][]string{nil, GTLDs, {"se"}} {
 			tf := analysis.All
 			if tlds != nil {
@@ -154,7 +162,8 @@ type Class = colstore.Class
 
 func TestColstoreRegistrarTallyEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(104))
-	for wi, w := range equivWorlds(t, rng) {
+	for wi, ew := range equivWorlds(t, rng) {
+		w := ew.w
 		for _, tlds := range [][]string{nil, GTLDs, {"nl", "se"}} {
 			legacyAll := map[string]int{}
 			legacyKeyed := map[string]int{}
@@ -162,8 +171,8 @@ func TestColstoreRegistrarTallyEquivalence(t *testing.T) {
 			for _, t := range tlds {
 				want[t] = true
 			}
-			for i := range w.Domains {
-				d := &w.Domains[i]
+			for i := range ew.rows {
+				d := &ew.rows[i]
 				if d.Registrar == "" || (len(want) > 0 && !want[d.TLD]) {
 					continue
 				}
@@ -183,12 +192,12 @@ func TestColstoreRegistrarTallyEquivalence(t *testing.T) {
 }
 
 // TestWorldSnapshotAllocs is the alloc-regression guard on the interned
-// snapshot path: the legacy projection allocated an NS-host slice (plus
-// the "ns1."+op concatenation) per record per day; the columnar path must
-// stay O(1) allocations per snapshot.
+// snapshot path: a record-at-a-time projection allocates an NS-host slice
+// (plus the "ns1."+op concatenation) per record per day; the columnar path
+// must stay O(1) allocations per snapshot, with one shared NS-host slice
+// per operator.
 func TestWorldSnapshotAllocs(t *testing.T) {
 	w := testWorld(t)
-	w.Index() // build outside the measured region
 	allocs := testing.AllocsPerRun(5, func() {
 		if snap := w.SnapshotAt(simtime.End); len(snap.Records) == 0 {
 			t.Fatal("empty snapshot")
@@ -196,19 +205,5 @@ func TestWorldSnapshotAllocs(t *testing.T) {
 	})
 	if allocs > 4 {
 		t.Errorf("SnapshotAt allocates %.1f objects per call, want <= 4 (was O(records) before colstore)", allocs)
-	}
-	// The bulk projection primitive must not allocate the NS-host slice:
-	// one shared slice per operator per world, zero allocations per
-	// projection.
-	d := &w.Domains[0]
-	w.recordAt(d, simtime.End) // intern the operator outside the measured region
-	recAllocs := testing.AllocsPerRun(100, func() {
-		r := w.recordAt(d, simtime.End)
-		if r.Domain == "" {
-			t.Fatal("bad record")
-		}
-	})
-	if recAllocs > 0 {
-		t.Errorf("recordAt allocates %.1f objects per call, want 0", recAllocs)
 	}
 }

@@ -40,32 +40,33 @@ func TestStreamingBuildWorkerInvariance(t *testing.T) {
 }
 
 // TestStreamingMatchesLegacy holds the streaming build equal to the
-// materialized oracle, domain for domain and query for query.
+// sequential record-at-a-time oracle, domain for domain and query for
+// query: every domain, snapshots, Table 1, series and Sample.
 func TestStreamingMatchesLegacy(t *testing.T) {
 	cfg := WorldConfig{Scale: 1.0 / 2000, Seed: 77}
 	stream, err := Build(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	legacy, err := BuildLegacy(cfg)
+	rows, err := sequentialDomains(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stream.Len() != legacy.Len() {
-		t.Fatalf("population sizes differ: streaming %d, legacy %d", stream.Len(), legacy.Len())
+	if stream.Len() != len(rows) {
+		t.Fatalf("population sizes differ: streaming %d, sequential %d", stream.Len(), len(rows))
 	}
-	for i := 0; i < stream.Len(); i++ {
-		if s, l := stream.DomainAt(i), legacy.DomainAt(i); s != l {
-			t.Fatalf("domain %d differs:\nstreaming %+v\nlegacy    %+v", i, s, l)
+	for i := range rows {
+		if s := stream.DomainAt(i); s != rows[i] {
+			t.Fatalf("domain %d differs:\nstreaming  %+v\nsequential %+v", i, s, rows[i])
 		}
 	}
 	for _, day := range []simtime.Day{simtime.GTLDStart, simtime.End} {
 		got := stream.SnapshotAt(day)
-		want := legacy.SnapshotAt(day)
+		want := snapshotOracle(rows, day)
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("SnapshotAt(%v) diverges between build paths", day)
+			t.Fatalf("SnapshotAt(%v) diverges from the oracle projection", day)
 		}
-		gotOv := analysis.Overview(got, AllTLDs)
+		gotOv := stream.Index().Overview(day, AllTLDs)
 		wantOv := analysis.Overview(want, AllTLDs)
 		if !reflect.DeepEqual(gotOv, wantOv) {
 			t.Fatalf("Overview(%v) diverges: %v vs %v", day, gotOv, wantOv)
@@ -73,15 +74,17 @@ func TestStreamingMatchesLegacy(t *testing.T) {
 	}
 	for _, op := range []string{"ovh.net", "cloudflare.com", "tail0000.com-hosting.example"} {
 		got := stream.SeriesFor(op, "", simtime.GTLDStart, simtime.End, 30)
-		want := legacy.SeriesFor(op, "", simtime.GTLDStart, simtime.End, 30)
+		want := seriesOracle(rows, op, "", simtime.GTLDStart, simtime.End, 30)
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("SeriesFor(%s) diverges between build paths", op)
+			t.Fatalf("SeriesFor(%s) diverges from the oracle series", op)
 		}
 	}
-	// Samples must coincide too: the sweep pipeline scans identical
-	// domains whichever path built the world.
-	if !reflect.DeepEqual(stream.Sample(200, 7), legacy.Sample(200, 7)) {
-		t.Fatal("Sample diverges between build paths")
+	// Samples must coincide too: the sweep pipeline scans the domains the
+	// seeded permutation picks from the population.
+	for _, n := range []int{200, len(rows) + 1} {
+		if !reflect.DeepEqual(stream.Sample(n, 7), sampleOracle(rows, n, 7)) {
+			t.Fatalf("Sample(%d) diverges from the oracle draw", n)
+		}
 	}
 }
 

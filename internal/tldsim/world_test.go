@@ -13,23 +13,40 @@ import (
 	"securepki.org/registrarsec/internal/simtime"
 )
 
-// testWorld builds a reduced-scale world once per test binary. It uses
-// the legacy materialized build so it doubles as the equivalence oracle:
-// the statistical assertions run against []DomainState, and the streaming
-// path is held equal to it by the equivalence tests in
-// world_stream_test.go.
-var testWorldCache *World
+// testWorldConfig is the reduced-scale world the statistical assertions
+// run against.
+var testWorldConfig = WorldConfig{Scale: 1.0 / 250, Seed: 99}
 
+var (
+	testWorldCache *World
+	testRowsCache  []DomainState
+)
+
+// testWorld builds the reduced-scale world once per test binary.
 func testWorld(t *testing.T) *World {
 	t.Helper()
 	if testWorldCache == nil {
-		w, err := BuildLegacy(WorldConfig{Scale: 1.0 / 250, Seed: 99})
+		w, err := Build(testWorldConfig)
 		if err != nil {
 			t.Fatal(err)
 		}
 		testWorldCache = w
 	}
 	return testWorldCache
+}
+
+// testWorldRows is the same population from the sequential oracle
+// sampler, once per test binary.
+func testWorldRows(t *testing.T) []DomainState {
+	t.Helper()
+	if testRowsCache == nil {
+		rows, err := sequentialDomains(testWorldConfig)
+		if err != nil {
+			t.Fatal(err)
+		}
+		testRowsCache = rows
+	}
+	return testRowsCache
 }
 
 func within(t *testing.T, name string, got, want, tol float64) {
@@ -292,7 +309,7 @@ func TestMaterializedScanMatchesModel(t *testing.T) {
 	// live measurement over real signed zones agrees with the state model.
 	modelByName := make(map[string]dnssec.Deployment, len(sample))
 	for i := range sample {
-		rec := sample[i].RecordAt(simtime.End)
+		rec := recordAt(&sample[i], simtime.End)
 		modelByName[sample[i].Name] = rec.Deployment()
 	}
 	for i := range snap.Records {

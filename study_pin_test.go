@@ -14,6 +14,7 @@ import (
 	"securepki.org/registrarsec/internal/dsweep"
 	"securepki.org/registrarsec/internal/scan"
 	"securepki.org/registrarsec/internal/simtime"
+	"securepki.org/registrarsec/internal/tldsim"
 )
 
 // pinnedSweeps are small longitudinal sweeps with the SHA-256 of their
@@ -142,4 +143,29 @@ func TestSweepGeometriesReproducePinnedDigest(t *testing.T) {
 		}
 	}
 	wg.Wait()
+}
+
+// pinnedTable1 is the SHA-256 of the rendered Table 1 of the test study
+// (Scale 1/2000, Seed 3), recorded while the sequential materialized
+// world build still shipped next to the streaming one.
+const pinnedTable1 = "3f12ec2f6298653c8ce49c476af282441c1e5348151f493d89cb248aab8b90c9"
+
+// TestTable1PinnedDigest checks the study's rendered Table 1, and the
+// same table over the world built at one and at four workers.
+func TestTable1PinnedDigest(t *testing.T) {
+	digest := func(rows []TLDOverview) string {
+		return fmt.Sprintf("%x", sha256.Sum256([]byte(RenderTable1(rows))))
+	}
+	if got := digest(testStudy(t).Table1()); got != pinnedTable1 {
+		t.Errorf("study Table 1 sha256 %s, want %s", got, pinnedTable1)
+	}
+	for _, workers := range []int{1, 4} {
+		w, err := tldsim.Build(tldsim.WorldConfig{Scale: 1.0 / 2000, Seed: 3, Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := digest(w.Index().Overview(simtime.End, AllTLDs)); got != pinnedTable1 {
+			t.Errorf("workers %d: Table 1 sha256 %s, want %s", workers, got, pinnedTable1)
+		}
+	}
 }
